@@ -60,11 +60,10 @@ std::string PinToCpus(uint32_t n) {
   cpu_set_t pinned;
   CPU_ZERO(&pinned);
   std::string ids;
-  for (int cpu = 0; cpu < CPU_SETSIZE && n > 0; ++cpu) {
+  for (int cpu = CPU_SETSIZE - 1; cpu >= 0 && n > 0; --cpu) {
     if (!CPU_ISSET(cpu, &allowed)) continue;
     CPU_SET(cpu, &pinned);
-    if (!ids.empty()) ids += ',';
-    ids += std::to_string(cpu);
+    ids = std::to_string(cpu) + (ids.empty() ? "" : ",") + ids;
     --n;
   }
   if (sched_setaffinity(0, sizeof(pinned), &pinned) != 0) return "";
@@ -434,6 +433,7 @@ int main(int argc, char** argv) {
                  ssum::BuildType());
     return 2;
   }
+  mallopt(M_MMAP_THRESHOLD, perfbench::kMmapThreshold);
   // Before any thread exists, so every thread inherits the mask.
   const std::string cpus = perfbench::PinToCpus(perfbench::kKernelThreads);
   ssum::SetDefaultThreadCount(perfbench::kKernelThreads);
@@ -444,11 +444,12 @@ int main(int argc, char** argv) {
       "# run {\"workload\":\"%s\",\"seed\":%llu,\"seconds\":%g,\"trace\":%d,"
       "\"build_type\":\"%s\",\"compiler\":\"%s\",\"hardware_threads\":%u,"
       "\"kernel_threads\":%u,\"cpus\":\"%s\",\"serve_clients\":%u,"
-      "\"serve_workers\":%u,\"work_fs\":\"%s\"}\n",
+      "\"serve_workers\":%u,\"mmap_threshold\":%d,\"work_fs\":\"%s\"}\n",
       args.workload.c_str(), static_cast<unsigned long long>(args.seed),
       args.seconds, args.trace ? 1 : 0, ssum::BuildType(), Compiler().c_str(),
       ssum::HardwareThreadCount(), perfbench::kKernelThreads, cpus.c_str(),
       perfbench::kServeClients, perfbench::kServeWorkers,
+      perfbench::kMmapThreshold,
       perfbench::FilesystemKind(args.work_dir).c_str());
   std::fflush(stdout);
 

@@ -17,16 +17,28 @@ namespace perfbench {
 
 /// Thread count of every parallel kernel (matrix rows, sharded annotation,
 /// greedy MaxCoverage), and the number of CPUs the process is confined to.
-/// Half of the 4-core reference host: the benchmark's figures must not
-/// depend on how busy the other half is. Confining the process matters
-/// because nested kernels (the context build runs three tasks, each a
-/// 2-thread loop) would otherwise spread over every CPU, and because on a
-/// shared host the closed serving loop moved by 2x between runs when its
-/// threads were free to wander over all four.
-inline constexpr uint32_t kKernelThreads = 2;
+/// On the shared 4-vCPU reference host, one CPU gives the steadiest figures
+/// and is not slower: over the same four seeds, confined to two CPUs with
+/// 2-thread kernels the cold op's p50 spread 35% and incremental_chain's
+/// 20%, against 5% and 11% on one CPU at 1 thread, at about the same
+/// medians (728 vs 704 ms, 145 vs 163 ms). Every wake-up of a thread on
+/// another vCPU can wait for the hypervisor to run that vCPU; on one CPU a
+/// hand-off is a plain context switch. The serving loop shows it most: its
+/// throughput ranged 1580-3650 ops/s over four runs on two CPUs and
+/// 1910-2120 on one (README).
+inline constexpr uint32_t kKernelThreads = 1;
+
+/// Allocations from this size up are mmapped and unmapped on free
+/// (mallopt M_MMAP_THRESHOLD, which also turns off glibc's sliding
+/// threshold). With the sliding default, whether a freed matrix went back
+/// to the OS depended on the allocation history of the run's threads, and
+/// serve_warm_mix's peak RSS ranged 250-300 MiB over identical runs; fixed,
+/// it tracks the memory live at the peak (within ~2%).
+inline constexpr int kMmapThreshold = 128 * 1024;
 
 /// serve_warm_mix: closed-loop clients and daemon workers. Together they
-/// fit the 4-core reference host.
+/// fit the 4-core reference host; all of them share the one CPU above, which
+/// the two clients keep busy.
 inline constexpr uint32_t kServeClients = 2;
 inline constexpr uint32_t kServeWorkers = 2;
 
@@ -46,8 +58,10 @@ double NowSeconds();
 double Percentile(std::vector<double> v, double p);
 double Median(std::vector<double> v);
 
-/// Confines the process to the first `n` CPUs of its allowed set. Returns
-/// the CPU ids used, comma-separated ("" when the affinity call failed).
+/// Confines the process to the last `n` CPUs of its allowed set: on the
+/// reference host CPU 0 and 1 take about twice the interrupts and softirq
+/// time of the others. Returns the CPU ids used, comma-separated ("" when
+/// the affinity call failed).
 std::string PinToCpus(uint32_t n);
 
 /// ru_maxrss of this process in MiB.

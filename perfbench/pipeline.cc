@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <set>
+#include <utility>
 
 #include "core/dominance.h"
 #include "harness.h"
@@ -104,47 +106,113 @@ std::string ReplayStages(const ssum::SummarizerContext& ctx,
   return "";
 }
 
+namespace {
+
+/// Elements reachable from `e` over structural-parent and referrer ->
+/// referee edges (the paper's extended ancestors), excluding `e`; as a
+/// flag per element.
+std::vector<bool> ExtendedAncestorSet(const ssum::SchemaGraph& graph,
+                                      ssum::ElementId e) {
+  std::vector<bool> seen(graph.size(), false);
+  std::vector<ssum::ElementId> stack = {e};
+  while (!stack.empty()) {
+    const ssum::ElementId cur = stack.back();
+    stack.pop_back();
+    auto visit = [&](ssum::ElementId x) {
+      if (x != ssum::kInvalidElement && x != e && !seen[x]) {
+        seen[x] = true;
+        stack.push_back(x);
+      }
+    };
+    visit(graph.parent(cur));
+    for (const ssum::Neighbor& nbr : graph.neighbors(cur)) {
+      if (!nbr.is_structural && nbr.forward) visit(nbr.other);
+    }
+  }
+  return seen;
+}
+
+/// Theorem 1 for (e1 dominates e2) on the coverage matrix: +1 when it
+/// holds, -1 when it does not, 0 when a side of an inequality is within
+/// rounding of the other, where a different summation order may decide
+/// either way.
+int Theorem1(const ssum::SummarizerContext& ctx, ssum::ElementId e1,
+             ssum::ElementId e2) {
+  const ssum::CoverageMatrix& cov = ctx.coverage();
+  const size_t n = ctx.graph().size();
+  const ssum::ElementId root = ctx.graph().root();
+  // E = elements e2 covers more than e1 does; C1, C2 their coverage sums.
+  double c1 = 0;
+  double c2 = 0;
+  for (ssum::ElementId e = 0; e < n; ++e) {
+    if (e == root) continue;
+    if (cov.At(e2, e) > cov.At(e1, e)) {
+      c1 += cov.At(e1, e);
+      c2 += cov.At(e2, e);
+    }
+  }
+  // e_c: the element other than e1 that covers e1 most. On a tie with e2
+  // both inequalities are the same one, so which maximum is taken does not
+  // matter.
+  ssum::ElementId ec = ssum::kInvalidElement;
+  double ec_cov = -1.0;
+  for (ssum::ElementId e = 0; e < n; ++e) {
+    if (e == e1 || e == root) continue;
+    if (cov.At(e, e1) > ec_cov) {
+      ec = e;
+      ec_cov = cov.At(e, e1);
+    }
+  }
+  const double card1 = static_cast<double>(ctx.annotations().card(e1));
+  const double delta = c2 - c1;
+  double margin = card1 - cov.At(e2, e1) - delta;
+  if (ec != ssum::kInvalidElement && ec != e2) {
+    margin = std::min(margin, card1 - ec_cov - delta);
+  }
+  const double tolerance = 1e-9 * std::max({1.0, card1, c2});
+  if (std::fabs(margin) <= tolerance) return 0;
+  return margin > 0 ? 1 : -1;
+}
+
+}  // namespace
+
 std::string CheckTheorem1(const ssum::SummarizerContext& ctx) {
   const ssum::SchemaGraph& graph = ctx.graph();
-  const ssum::CoverageMatrix& cov = ctx.coverage();
   const size_t n = graph.size();
   const ssum::ElementId root = graph.root();
   const ssum::DominanceResult& dom = ctx.dominance();
-  std::vector<bool> dominated(n, false);
+  std::set<std::pair<ssum::ElementId, ssum::ElementId>> reported;
   for (const ssum::DominancePair& p : dom.pairs) {
     const ssum::ElementId e1 = p.dominator;
     const ssum::ElementId e2 = p.dominated;
     if (e1 >= n || e2 >= n || e1 == e2 || e1 == root || e2 == root) {
       return "malformed dominance pair";
     }
-    // E = elements e2 covers more than e1 does; C1, C2 their coverage sums.
-    double c1 = 0;
-    double c2 = 0;
-    for (ssum::ElementId e = 0; e < n; ++e) {
-      if (e == root) continue;
-      if (cov.At(e2, e) > cov.At(e1, e)) {
-        c1 += cov.At(e1, e);
-        c2 += cov.At(e2, e);
+    if (!reported.insert({e1, e2}).second) return "duplicate dominance pair";
+  }
+  // Every non-root extended ancestor of every non-root element is tested:
+  // a pair is reported exactly when Theorem 1 holds for it.
+  std::vector<bool> dominated(n, false);
+  size_t matched = 0;
+  for (ssum::ElementId e2 = 0; e2 < n; ++e2) {
+    if (e2 == root) continue;
+    const std::vector<bool> ancestors = ExtendedAncestorSet(graph, e2);
+    for (ssum::ElementId e1 = 0; e1 < n; ++e1) {
+      if (!ancestors[e1] || e1 == root) continue;
+      const bool is_reported = reported.count({e1, e2}) != 0;
+      matched += is_reported ? 1 : 0;
+      const int holds = Theorem1(ctx, e1, e2);
+      if (holds != 0 && is_reported != (holds > 0)) {
+        return "pair (" + std::to_string(e1) + " dominates " +
+               std::to_string(e2) + ") " +
+               (is_reported ? "is reported but violates Theorem 1"
+                            : "meets Theorem 1 but is not reported");
       }
+      if (is_reported) dominated[e2] = true;
     }
-    // e_c: the element other than e1 that covers e1 most (first maximum).
-    ssum::ElementId ec = ssum::kInvalidElement;
-    double ec_cov = -1.0;
-    for (ssum::ElementId e = 0; e < n; ++e) {
-      if (e == e1 || e == root) continue;
-      if (cov.At(e, e1) > ec_cov) {
-        ec = e;
-        ec_cov = cov.At(e, e1);
-      }
-    }
-    const double card1 = static_cast<double>(ctx.annotations().card(e1));
-    const double delta = c2 - c1;
-    if (delta > card1 - cov.At(e2, e1) ||
-        (ec != ssum::kInvalidElement && ec != e2 && delta > card1 - ec_cov)) {
-      return "pair (" + std::to_string(e1) + " dominates " +
-             std::to_string(e2) + ") violates Theorem 1";
-    }
-    dominated[e2] = true;
+  }
+  if (matched != reported.size()) {
+    return "a dominance pair is not an (extended ancestor, element) pair";
   }
   if (dominated != dom.dominated) return "dominated flags disagree with pairs";
   std::vector<ssum::ElementId> candidates;

@@ -27,8 +27,10 @@ struct StageTimes {
 std::string ReplayStages(const ssum::SummarizerContext& ctx,
                          StageTimes* times);
 
-/// Re-evaluates Theorem 1 on the coverage matrix for every reported
-/// dominance pair, and checks `dominated` and `candidates` follow from them.
+/// Re-evaluates Theorem 1 on the coverage matrix for every (non-root
+/// extended ancestor, non-root element) pair, from the benchmark's own
+/// ancestor walk, and checks that exactly the pairs meeting it are reported
+/// (in any order), and that `dominated` and `candidates` follow from them.
 std::string CheckTheorem1(const ssum::SummarizerContext& ctx);
 
 /// The MaxImportance summary must select the k most important non-root

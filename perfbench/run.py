@@ -4,7 +4,7 @@
 Usage, from the repository root:
 
     python3 perfbench/run.py --workload cold_schema_heavy --seed 1 \
-        --seconds 20 --trace 0
+        --seconds 30 --trace 0
 
 The build tree is $CARGO_TARGET_DIR (default .bench_build) under the
 repository root; the first run configures and compiles the library from

@@ -34,6 +34,17 @@ constexpr int kSetupReps = 3;
 constexpr double kTailPercentile = 90;
 constexpr const char* kScenarioFile = "serve_scenario.scn";
 
+// Weights of the round: how many times each summarize shape is sent per
+// round (every discover shape is sent once). They are set so that
+// summarize and discover requests are about equal in number (96 and 94),
+// and so that the 2033-element scenario, whose per-request
+// SummaryFingerprint hashing costs 0.5-0.6 ms against a ~0.2 ms round trip
+// on the paper datasets, carries most of the round time (README: measured
+// shares). A change to that hashing then moves throughput_ops_s by more
+// than its bound.
+constexpr uint32_t kScenarioSummarizeRepeats = 24;
+constexpr uint32_t kPaperSummarizeRepeats = 2;
+
 /// ~2k-element scenario in the style of comprehensive.scn with few units:
 /// large enough that per-request fingerprint hashing shows, small enough
 /// that its cold load stays a setup cost. The seed drives the mutation
@@ -68,7 +79,8 @@ struct Dataset {
 
 struct Shape {
   ssum::ServeRequest request;
-  size_t dataset = 0;  // index into the dataset list
+  size_t dataset = 0;    // index into the dataset list
+  uint32_t repeats = 1;  // times sent per round
 };
 
 std::string ShapeKey(const ssum::ServeRequest& r) {
@@ -94,10 +106,11 @@ std::map<std::string, uint64_t> ParseCounters(const std::string& text) {
   return out;
 }
 
-/// The fixed request mix of one round. Per paper dataset: four summarize
-/// shapes (three algorithms exact, MaxCoverage approximate) and one
-/// discover request per workload query; per scenario: three summarize
-/// shapes. The seed picks each k.
+/// The distinct request shapes of one round. Per paper dataset: four
+/// summarize shapes (three algorithms exact, MaxCoverage approximate), each
+/// sent kPaperSummarizeRepeats times, and one discover request per workload
+/// query; per scenario: three summarize shapes, each sent
+/// kScenarioSummarizeRepeats times. The seed picks each k.
 std::vector<Shape> BuildMix(const std::vector<Dataset>& datasets,
                             uint64_t seed) {
   std::mt19937_64 rng(MixSeed(seed, 0x313));
@@ -106,6 +119,8 @@ std::vector<Shape> BuildMix(const std::vector<Dataset>& datasets,
                        uint64_t k) {
     Shape s;
     s.dataset = d;
+    s.repeats = datasets[d].label == "scenario" ? kScenarioSummarizeRepeats
+                                                : kPaperSummarizeRepeats;
     s.request.verb = ssum::ServeVerb::kSummarize;
     s.request.dataset = datasets[d].name;
     s.request.k = k;
@@ -149,6 +164,12 @@ std::vector<Shape> BuildMix(const std::vector<Dataset>& datasets,
   return mix;
 }
 
+/// 0 scenario summarize, 1 paper-dataset summarize, 2 discover.
+int RequestClass(const Shape& s, size_t scenario_index) {
+  if (s.request.verb == ssum::ServeVerb::kDiscover) return 2;
+  return s.dataset == scenario_index ? 0 : 1;
+}
+
 struct Server {
   std::unique_ptr<TimingEnv> env;
   std::unique_ptr<ssum::SummarizeServer> server;
@@ -160,6 +181,9 @@ struct ClientResult {
   std::vector<double> traced_summarize_ms;
   std::vector<double> traced_discover_ms;
   std::vector<double> traced_ms;
+  // Untimed-phase round-trip time by request class: scenario summarize,
+  // paper-dataset summarize, discover.
+  double class_ms[3] = {};
   uint64_t attempted = 0;
   uint64_t failed = 0;
   std::vector<std::string> mismatches;
@@ -216,7 +240,7 @@ void RunServeWarmMix(const Args& args, Report* report) {
   layer.Add("stats.annotate_nodes_per_s", loaded_nodes / load_s);
   const std::vector<Shape> mix = BuildMix(datasets, args.seed);
 
-  // --- setup: cold daemon answers every request once, three times ----------
+  // --- setup: cold daemon answers every request shape once, three times ----
   Server live;
   std::vector<double> setup_s;
   std::vector<std::string> cold_payload(mix.size());
@@ -273,6 +297,11 @@ void RunServeWarmMix(const Args& args, Report* report) {
   const double loop_start = NowSeconds();
   const double end = loop_start + args.seconds;
   const double untraced_end = args.trace ? loop_start + args.seconds / 2 : end;
+  const size_t scenario_index = datasets.size() - 1;
+  std::vector<size_t> round_requests;  // shape index per request of a round
+  for (size_t i = 0; i < mix.size(); ++i) {
+    round_requests.insert(round_requests.end(), mix[i].repeats, i);
+  }
   std::vector<ClientResult> results(kServeClients);
   std::vector<std::thread> threads;
   for (uint32_t c = 0; c < kServeClients; ++c) {
@@ -283,8 +312,7 @@ void RunServeWarmMix(const Args& args, Report* report) {
         r.mismatches.push_back("connect: " + client.status().ToString());
         return;
       }
-      std::vector<size_t> order(mix.size());
-      for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+      std::vector<size_t> order = round_requests;
       for (uint64_t round = 0;; ++round) {
         const double now = NowSeconds();
         const bool traced = now >= untraced_end;
@@ -307,6 +335,7 @@ void RunServeWarmMix(const Args& args, Report* report) {
           }
           if (!traced) {
             r.latency_ms.push_back(ms);
+            r.class_ms[RequestClass(mix[i], scenario_index)] += ms;
             continue;
           }
           r.traced_ms.push_back(ms);
@@ -326,7 +355,9 @@ void RunServeWarmMix(const Args& args, Report* report) {
   std::vector<double> rtt_summarize;
   std::vector<double> rtt_discover;
   double loop_s = 0;
+  double class_ms[3] = {};
   for (const ClientResult& r : results) {
+    for (int c = 0; c < 3; ++c) class_ms[c] += r.class_ms[c];
     report->attempted += r.attempted;
     report->failed += r.failed;
     for (const std::string& m : r.mismatches) report->Fail(m);
@@ -430,13 +461,18 @@ void RunServeWarmMix(const Args& args, Report* report) {
   report->Set("peak_rss_mb", PeakRssMiB());
   report->Set("discovery_cost",
               cost_with_sum / static_cast<double>(std::max<size_t>(1, discover_requests)));
+  const double round_ms = class_ms[0] + class_ms[1] + class_ms[2];
   std::fprintf(stderr,
                "serve_warm_mix: %zu requests per round, %zu timed, p50 %.3f "
-               "ms, p%.0f %.3f ms (p95 %.3f, p99 %.3f), %.0f ops/s\n",
-               mix.size(), latency.size(), Median(latency), kTailPercentile,
-               Percentile(latency, kTailPercentile), Percentile(latency, 95),
-               Percentile(latency, 99),
-               static_cast<double>(latency.size()) / loop_s);
+               "ms, p%.0f %.3f ms (p95 %.3f, p99 %.3f), %.0f ops/s; share of "
+               "round-trip time: scenario summarize %.1f%%, paper summarize "
+               "%.1f%%, discover %.1f%%\n",
+               round_requests.size(), latency.size(), Median(latency),
+               kTailPercentile, Percentile(latency, kTailPercentile),
+               Percentile(latency, 95), Percentile(latency, 99),
+               static_cast<double>(latency.size()) / loop_s,
+               100 * class_ms[0] / round_ms, 100 * class_ms[1] / round_ms,
+               100 * class_ms[2] / round_ms);
   if (!args.trace) return;
 
   // --- per-layer figures ----------------------------------------------------
