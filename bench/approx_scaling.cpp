@@ -132,7 +132,9 @@ DatasetReport RunDataset(const DatasetBundle& bundle, double scale,
   report.elements = bundle.schema.size();
 
   SummarizeOptions base;
-  SummarizerContext context(bundle.schema, bundle.annotations, base);
+  auto context = SummarizerContext::Make(bundle.schema, bundle.annotations,
+                                         base)
+                     .ValueOrDie();
   const size_t m = context.dominance().candidates.size();
   report.candidates = m;
   // Largest k <= 8 whose full enumeration fits the budget, so "exact" below
@@ -237,7 +239,8 @@ SyntheticReport RunSynthetic(bool* deterministic_ok) {
 
   std::printf("synthetic: building %zu-element context...\n", report.elements);
   SummarizeOptions base;
-  SummarizerContext context(synth.graph, synth.annotations, base);
+  auto context = SummarizerContext::Make(synth.graph, synth.annotations, base)
+                     .ValueOrDie();
   report.candidates = context.dominance().candidates.size();
 
   // Budget-limited exact: C(candidates, 8) blows the enumeration budget at

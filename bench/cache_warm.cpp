@@ -122,8 +122,9 @@ int main(int argc, char** argv) {
                    bundle.status().ToString().c_str());
       return 1;
     }
-    SummarizerContext context(bundle->schema, bundle->annotations,
-                              SummarizeOptions{}, &cache);
+    auto context = SummarizerContext::Make(bundle->schema, bundle->annotations,
+                                           SummarizeOptions{}, &cache)
+                       .ValueOrDie();
     matrices_from_cache = context.matrices_loaded_from_cache();
   }
 

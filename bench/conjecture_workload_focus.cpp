@@ -38,7 +38,8 @@ int main(int argc, char** argv) {
                    bundle.status().ToString().c_str());
       return 1;
     }
-    SummarizerContext context(bundle->schema, bundle->annotations);
+    auto context = SummarizerContext::Make(bundle->schema, bundle->annotations)
+                       .ValueOrDie();
     auto summary = Summarize(context, bundle->paper_summary_size);
     if (!summary.ok()) {
       std::fprintf(stderr, "summarize failed: %s\n",

@@ -1,8 +1,8 @@
 // Incremental delta-summarization benchmark: a versioned scenario chain
 // (what `ssum gen --chain` emits) summarized cold at every version versus
 // incrementally from the previous version — delta-annotation over the dirty
-// units plus matrix patching, with snapshot lineage resolving each step's
-// base annotations from the artifact cache.
+// units, with snapshot lineage resolving each step's base annotations from
+// the artifact cache, then a context built over the new statistics.
 //
 //   delta_scaling [--json <path>] [--gate-only] [--threads N]
 //
@@ -11,7 +11,7 @@
 //     set, no cold fallback) and re-walks only a strict subset of units;
 //   * the incremental step is < 20% of the cold pipeline wall clock;
 //   * bit-identity at 1 and 8 threads: incremental annotations equal the
-//     full pass exactly, patched matrices byte-equal the cold ones, and the
+//     full pass exactly, the matrices byte-equal the cold ones, and the
 //     selected summaries match (the incremental path may only ever be a
 //     faster route to the same bytes).
 //
@@ -84,10 +84,6 @@ struct StepReport {
   uint64_t dirty_units = 0;
   uint64_t total_units = 0;
   uint32_t lineage_hops = 0;
-  size_t affinity_dirty_rows = 0;
-  size_t coverage_dirty_rows = 0;
-  bool affinity_patched = false;
-  bool coverage_patched = false;
   double cold_ms = 0;
   double inc_ms = 0;
 
@@ -147,10 +143,11 @@ int main(int argc, char** argv) {
     versions.push_back(std::move(*ds));
   }
 
-  bool ok = true;
+  bool ok = true;         // every gate
+  bool identical = true;  // the bit-identity gates alone
 
   // -------------------------------------------------------------------------
-  // Bit-identity gates at 1 and 8 threads: chain incremental contexts
+  // Bit-identity gates at 1 and 8 threads: walk the chain incrementally
   // version by version and compare every layer against the cold pipeline.
   // -------------------------------------------------------------------------
   for (uint32_t threads : {1u, 8u}) {
@@ -163,22 +160,6 @@ int main(int argc, char** argv) {
 
     SummarizeOptions options;
     options.parallel.threads = threads;
-
-    std::deque<Annotations> kept;  // stable addresses for chained contexts
-    auto base_ann = AnnotateSchemaSharded(*versions[0].MakeShardedSource());
-    if (!base_ann.ok()) {
-      std::fprintf(stderr, "annotate v0: %s\n",
-                   base_ann.status().ToString().c_str());
-      return 1;
-    }
-    kept.push_back(std::move(*base_ann));
-    auto prev = SummarizerContext::Make(versions[0].schema(), kept.back(),
-                                        options, &cache);
-    if (!prev.ok()) {
-      std::fprintf(stderr, "context v0: %s\n",
-                   prev.status().ToString().c_str());
-      return 1;
-    }
 
     for (int i = 1; i <= kChain; ++i) {
       auto delta =
@@ -217,13 +198,13 @@ int main(int argc, char** argv) {
                      "FAIL: threads=%u v%d incremental annotations differ "
                      "from the full pass\n",
                      threads, i);
-        ok = false;
+        identical = false;
       }
 
-      kept.push_back(delta->annotations);
-      auto inc = SummarizerContext::MakeIncremental(*prev, kept.back(), &cache);
+      auto inc = SummarizerContext::Make(versions[i].schema(),
+                                         delta->annotations, options, &cache);
       if (!inc.ok()) {
-        std::fprintf(stderr, "MakeIncremental v%d: %s\n", i,
+        std::fprintf(stderr, "incremental context v%d: %s\n", i,
                      inc.status().ToString().c_str());
         return 1;
       }
@@ -237,10 +218,10 @@ int main(int argc, char** argv) {
       if (!Equal(inc->affinity().matrix(), cold->affinity().matrix()) ||
           !Equal(inc->coverage().matrix(), cold->coverage().matrix())) {
         std::fprintf(stderr,
-                     "FAIL: threads=%u v%d patched matrices are not "
+                     "FAIL: threads=%u v%d incremental matrices are not "
                      "byte-equal to the cold ones\n",
                      threads, i);
-        ok = false;
+        identical = false;
       }
       auto inc_summary = Summarize(*inc, kSummarySize);
       auto cold_summary = Summarize(*cold, kSummarySize);
@@ -254,12 +235,11 @@ int main(int argc, char** argv) {
                      "FAIL: threads=%u v%d incremental summary differs from "
                      "the cold summary\n",
                      threads, i);
-        ok = false;
+        identical = false;
       }
-      prev = std::move(inc);
     }
     std::printf("  threads=%u: chain bit-identity %s\n", threads,
-                ok ? "ok" : "VIOLATED");
+                identical ? "ok" : "VIOLATED");
     std::filesystem::remove_all(dir);
   }
 
@@ -267,7 +247,7 @@ int main(int argc, char** argv) {
   // Wall clock: cold pipeline per version vs the incremental step. The
   // cache is pre-populated by a warm-up chain pass, so the timed incremental
   // step measures what a steady-state consumer pays: lineage lookup + dirty
-  // set + delta walk + matrix patch + selection.
+  // set + delta walk + context build + selection.
   // -------------------------------------------------------------------------
   const std::string dir =
       (std::filesystem::temp_directory_path() / "ssum_delta_bench_time")
@@ -278,15 +258,6 @@ int main(int argc, char** argv) {
   SummarizeOptions options;  // session default threads
 
   std::vector<StepReport> steps(kChain);
-  std::deque<Annotations> kept;
-  {
-    auto ann = AnnotateSchemaSharded(*versions[0].MakeShardedSource());
-    kept.push_back(std::move(*ann));
-  }
-  auto prev = SummarizerContext::Make(versions[0].schema(), kept.back(),
-                                      options, &cache);
-  if (!prev.ok()) return 1;
-
   for (int i = 1; i <= kChain; ++i) {
     StepReport& step = steps[i - 1];
     step.version = i;
@@ -300,7 +271,6 @@ int main(int argc, char** argv) {
 
     // Warm-up: populates the lineage chain for this step and records the
     // provenance stats the timed loop reproduces.
-    MatrixPatchStats affinity_stats, coverage_stats;
     {
       auto delta = AnnotateScenarioDelta(versions[i - 1], versions[i], &cache);
       if (!delta.ok() || !delta->incremental) {
@@ -310,27 +280,15 @@ int main(int argc, char** argv) {
       step.dirty_units = delta->dirty_units;
       step.total_units = delta->total_units;
       step.lineage_hops = delta->lineage_hops;
-      kept.push_back(delta->annotations);
-      auto inc = SummarizerContext::MakeIncremental(
-          *prev, kept.back(), &cache, MatrixPatchOptions{}, &affinity_stats,
-          &coverage_stats);
-      if (!inc.ok()) return 1;
-      step.affinity_dirty_rows = affinity_stats.dirty_rows;
-      step.coverage_dirty_rows = coverage_stats.dirty_rows;
-      step.affinity_patched = affinity_stats.patched;
-      step.coverage_patched = coverage_stats.patched;
     }
 
     step.inc_ms = TimeMs(kReps, [&] {
       auto delta = AnnotateScenarioDelta(versions[i - 1], versions[i], &cache);
-      auto inc = SummarizerContext::MakeIncremental(*prev, delta->annotations);
+      auto inc = SummarizerContext::Make(versions[i].schema(),
+                                         delta->annotations, options);
       auto summary = Summarize(*inc, kSummarySize);
       if (!summary.ok()) std::exit(1);
     });
-
-    auto inc = SummarizerContext::MakeIncremental(*prev, kept.back());
-    if (!inc.ok()) return 1;
-    prev = std::move(inc);
 
     std::printf(
         "  v%d: cold %8.2f ms   incremental %8.2f ms (%.1f%%)  — %llu/%llu "
@@ -348,6 +306,7 @@ int main(int argc, char** argv) {
     }
   }
   std::filesystem::remove_all(dir);
+  ok = ok && identical;
 
   if (!json_path.empty() && !gate_only) {
     std::ofstream out(json_path, std::ios::trunc);
@@ -359,30 +318,26 @@ int main(int argc, char** argv) {
         << "  \"bench\": \"delta_scaling\",\n"
         << "  \"build_type\": \"" << BuildType() << "\",\n"
         << "  \"hardware_threads\": " << HardwareThreadCount() << ",\n"
+        << "  \"threads\": " << ResolveThreadCount(0) << ",\n"
         << "  \"schema_elements\": " << kElements << ",\n"
         << "  \"instance_units\": " << kUnits << ",\n"
         << "  \"chain\": " << kChain << ",\n"
         << "  \"mutate_fraction\": " << kMutateFraction << ",\n"
         << "  \"summary_size\": " << kSummarySize << ",\n"
         << "  \"gate_max_inc_fraction\": " << kMaxIncFraction << ",\n"
-        << "  \"bit_identical\": " << (ok ? "true" : "false") << ",\n"
+        << "  \"bit_identical\": " << (identical ? "true" : "false") << ",\n"
         << "  \"steps\": [\n";
     for (size_t s = 0; s < steps.size(); ++s) {
       const StepReport& r = steps[s];
-      char buf[360];
+      char buf[240];
       std::snprintf(
           buf, sizeof(buf),
           "    {\"version\": %d, \"cold_ms\": %.4f, \"inc_ms\": %.4f, "
           "\"fraction\": %.4f, \"dirty_units\": %llu, \"total_units\": %llu, "
-          "\"lineage_hops\": %u, \"affinity_dirty_rows\": %zu, "
-          "\"coverage_dirty_rows\": %zu, \"affinity_patched\": %s, "
-          "\"coverage_patched\": %s}",
+          "\"lineage_hops\": %u}",
           r.version, r.cold_ms, r.inc_ms, r.Fraction(),
           static_cast<unsigned long long>(r.dirty_units),
-          static_cast<unsigned long long>(r.total_units), r.lineage_hops,
-          r.affinity_dirty_rows, r.coverage_dirty_rows,
-          r.affinity_patched ? "true" : "false",
-          r.coverage_patched ? "true" : "false");
+          static_cast<unsigned long long>(r.total_units), r.lineage_hops);
       out << buf << (s + 1 < steps.size() ? ",\n" : "\n");
     }
     out << "  ],\n"

@@ -27,7 +27,8 @@ int main(int argc, char** argv) {
       return 1;
     }
     DiscoveryOracle oracle(bundle->schema);
-    SummarizerContext context(bundle->schema, bundle->annotations);
+    auto context = SummarizerContext::Make(bundle->schema, bundle->annotations)
+                       .ValueOrDie();
     auto flat_small = Summarize(context, 6);
     auto flat_large = Summarize(context, 18);
     auto levels = SummarizeMultiLevel(bundle->schema, bundle->annotations,

@@ -119,28 +119,31 @@ DatasetReport RunDataset(const DatasetBundle& bundle, double sf, bool* ok,
   KernelReport cov{"coverage_matrix", {}, true};
   ParallelOptions serial;
   serial.threads = 1;
-  const AffinityMatrix aff_serial =
-      AffinityMatrix::Compute(bundle.schema, metrics, {}, serial);
-  const CoverageMatrix cov_serial = CoverageMatrix::Compute(
-      bundle.schema, bundle.annotations, metrics, {}, serial);
+  const auto aff_serial =
+      AffinityMatrix::TryCompute(bundle.schema, metrics, {}, serial)
+          .ValueOrDie();
+  const auto cov_serial =
+      CoverageMatrix::TryCompute(bundle.schema, bundle.annotations, metrics, {},
+                                 serial)
+          .ValueOrDie();
   for (uint32_t t : kThreadCounts) {
     ParallelOptions par;
     par.threads = t;
     aff.points.push_back({t, TimeMs([&] {
-      AffinityMatrix m =
-          AffinityMatrix::Compute(bundle.schema, metrics, {}, par);
+      auto m = AffinityMatrix::TryCompute(bundle.schema, metrics, {}, par);
       (void)m;
     })});
     cov.points.push_back({t, TimeMs([&] {
-      CoverageMatrix m = CoverageMatrix::Compute(
-          bundle.schema, bundle.annotations, metrics, {}, par);
+      auto m = CoverageMatrix::TryCompute(bundle.schema, bundle.annotations,
+                                          metrics, {}, par);
       (void)m;
     })});
     if (t > 1) {
-      AffinityMatrix am =
-          AffinityMatrix::Compute(bundle.schema, metrics, {}, par);
-      CoverageMatrix cm = CoverageMatrix::Compute(
-          bundle.schema, bundle.annotations, metrics, {}, par);
+      auto am = AffinityMatrix::TryCompute(bundle.schema, metrics, {}, par)
+                    .ValueOrDie();
+      auto cm = CoverageMatrix::TryCompute(bundle.schema, bundle.annotations,
+                                           metrics, {}, par)
+                    .ValueOrDie();
       aff.deterministic &= SameBytes(am.matrix(), aff_serial.matrix());
       cov.deterministic &= SameBytes(cm.matrix(), cov_serial.matrix());
     }
@@ -151,7 +154,9 @@ DatasetReport RunDataset(const DatasetBundle& bundle, double sf, bool* ok,
   // --- exact MaxCoverage enumeration (sharded rank ranges) ----------------
   {
     SummarizeOptions base;
-    SummarizerContext probe(bundle.schema, bundle.annotations, base);
+    auto probe = SummarizerContext::Make(bundle.schema, bundle.annotations,
+                                         base)
+                     .ValueOrDie();
     const size_t m = probe.dominance().candidates.size();
     // Largest k <= 8 whose full enumeration fits the budget.
     size_t k = 0;
@@ -166,7 +171,9 @@ DatasetReport RunDataset(const DatasetBundle& bundle, double sf, bool* ok,
       for (uint32_t t : kThreadCounts) {
         SummarizeOptions opts;
         opts.parallel.threads = t;
-        SummarizerContext context(bundle.schema, bundle.annotations, opts);
+        auto context = SummarizerContext::Make(bundle.schema,
+                                               bundle.annotations, opts)
+                           .ValueOrDie();
         std::vector<ElementId> last;
         sel.points.push_back({t, TimeMs([&] {
           auto r = SelectMaxCoverage(context, k);

@@ -109,7 +109,7 @@ void BM_AffinityMatrix(benchmark::State& state) {
   AffinityOptions opts;
   opts.max_steps = static_cast<uint32_t>(state.range(0));
   for (auto _ : state) {
-    AffinityMatrix m = AffinityMatrix::Compute(ds.schema(), metrics, opts);
+    auto m = AffinityMatrix::TryCompute(ds.schema(), metrics, opts);
     benchmark::DoNotOptimize(m);
   }
 }
@@ -126,8 +126,7 @@ void BM_AffinityMatrixThreads(benchmark::State& state) {
   ParallelOptions parallel;
   parallel.threads = static_cast<uint32_t>(state.range(0));
   for (auto _ : state) {
-    AffinityMatrix m =
-        AffinityMatrix::Compute(ds.schema(), metrics, opts, parallel);
+    auto m = AffinityMatrix::TryCompute(ds.schema(), metrics, opts, parallel);
     benchmark::DoNotOptimize(m);
   }
 }
@@ -141,8 +140,7 @@ void BM_CoverageMatrix(benchmark::State& state) {
   CoverageOptions opts;
   opts.max_steps = static_cast<uint32_t>(state.range(0));
   for (auto _ : state) {
-    CoverageMatrix m =
-        CoverageMatrix::Compute(ds.schema(), ann, metrics, opts);
+    auto m = CoverageMatrix::TryCompute(ds.schema(), ann, metrics, opts);
     benchmark::DoNotOptimize(m);
   }
 }
@@ -157,8 +155,8 @@ void BM_CoverageMatrixThreads(benchmark::State& state) {
   ParallelOptions parallel;
   parallel.threads = static_cast<uint32_t>(state.range(0));
   for (auto _ : state) {
-    CoverageMatrix m =
-        CoverageMatrix::Compute(ds.schema(), ann, metrics, opts, parallel);
+    auto m =
+        CoverageMatrix::TryCompute(ds.schema(), ann, metrics, opts, parallel);
     benchmark::DoNotOptimize(m);
   }
 }
@@ -169,7 +167,7 @@ void BM_Dominance(benchmark::State& state) {
   const XMarkDataset& ds = SharedXMark(0.05);
   const Annotations& ann = SharedAnnotations(0.05);
   EdgeMetrics metrics = EdgeMetrics::Compute(ds.schema(), ann);
-  CoverageMatrix cov = CoverageMatrix::Compute(ds.schema(), ann, metrics);
+  auto cov = CoverageMatrix::TryCompute(ds.schema(), ann, metrics).ValueOrDie();
   for (auto _ : state) {
     DominanceResult d = ComputeDominance(ds.schema(), ann, cov);
     benchmark::DoNotOptimize(d);
@@ -280,34 +278,6 @@ void BM_WalkEngineBatched(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(n) * state.iterations());
 }
 BENCHMARK(BM_WalkEngineBatched)->Unit(benchmark::kMillisecond);
-
-/// Lane-width head-to-head (arg = lanes): both widths are compiled into
-/// every build, so this compares 8-wide (one cache line per lane block)
-/// against 16-wide (two lines, fewer per-edge gathers) on the same plan
-/// regardless of the configure-time SSUM_WALK_LANE_WIDTH choice.
-void BM_WalkEngineLaneWidth(benchmark::State& state) {
-  const WalkFixture& f = WalkFixture::Get();
-  const size_t n = f.plan.size();
-  std::vector<double> buf(n * n);
-  std::vector<ElementId> sources(n);
-  std::vector<std::span<double>> rows(n);
-  for (ElementId s = 0; s < n; ++s) {
-    sources[s] = s;
-    rows[s] = {buf.data() + static_cast<size_t>(s) * n, n};
-  }
-  const size_t lanes = static_cast<size_t>(state.range(0));
-  for (auto _ : state) {
-    if (lanes == 8) {
-      MaxProductWalksBatchW<8>(f.plan, sources, f.walk, rows);
-    } else {
-      MaxProductWalksBatchW<16>(f.plan, sources, f.walk, rows);
-    }
-    benchmark::DoNotOptimize(buf.data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(n) * state.iterations());
-}
-BENCHMARK(BM_WalkEngineLaneWidth)->Arg(8)->Arg(16)
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

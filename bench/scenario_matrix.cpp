@@ -236,7 +236,7 @@ bool RunCase(const ScenarioSpec& spec, CaseReport* report) {
 
   // --- coverage monotone in k ----------------------------------------------
   {
-    SummarizerContext context(ds.schema(), serial);
+    auto context = SummarizerContext::Make(ds.schema(), serial).ValueOrDie();
     const size_t candidates = context.dominance().candidates.size();
     std::vector<size_t> ks = {2, std::max<size_t>(3, spec.summary_k / 2),
                               spec.summary_k};

@@ -17,7 +17,8 @@ namespace {
 int RunPanel(const char* title, const DatasetBundle& bundle,
              const ExpertPanel& panel) {
   const std::vector<size_t> sizes = {5, 10, 15};
-  SummarizerContext context(bundle.schema, bundle.annotations);
+  auto context =
+      SummarizerContext::Make(bundle.schema, bundle.annotations).ValueOrDie();
   std::vector<std::vector<ElementId>> autos;
   for (size_t k : sizes) {
     auto sel = SelectBalanced(context, k);

@@ -27,7 +27,8 @@ int main(int argc, char** argv) {
                    bundle.status().ToString().c_str());
       return 1;
     }
-    SummarizerContext context(bundle->schema, bundle->annotations);
+    auto context = SummarizerContext::Make(bundle->schema, bundle->annotations)
+                       .ValueOrDie();
     std::vector<std::vector<ElementId>> per_size;
     for (size_t k : sizes) {
       auto sel = SelectBalanced(context, k);

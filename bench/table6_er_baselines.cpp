@@ -33,7 +33,8 @@ int main(int argc, char** argv) {
   TablePrinter table({"", "Avg. cost", "Saving%"});
   // Our system.
   {
-    SummarizerContext context(bundle->schema, bundle->annotations);
+    auto context = SummarizerContext::Make(bundle->schema, bundle->annotations)
+                       .ValueOrDie();
     auto summary = Summarize(context, k, Algorithm::kBalanceSummary);
     if (!summary.ok()) {
       std::fprintf(stderr, "BalanceSummary failed: %s\n",

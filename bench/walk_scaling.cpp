@@ -106,7 +106,7 @@ std::pair<double, double> TimePairMs(const FnA& a, const FnB& b) {
 }
 
 /// The coverage step factors (edge_affinity(u->v) * W(v->u)), mirroring
-/// CoverageMatrix::Compute.
+/// CoverageMatrix::TryCompute.
 EdgeFactors CoverageFactors(const SchemaGraph& graph,
                             const EdgeMetrics& metrics) {
   EdgeFactors factors(graph.size());
@@ -223,26 +223,25 @@ DatasetReport RunDataset(const std::string& name, const SchemaGraph& graph,
   ParallelOptions t1, t8;
   t1.threads = 1;
   t8.threads = 8;
-  const AffinityMatrix a1 = AffinityMatrix::Compute(graph, metrics, {}, t1);
-  const AffinityMatrix a8 = AffinityMatrix::Compute(graph, metrics, {}, t8);
-  const CoverageMatrix c1 =
-      CoverageMatrix::Compute(graph, annotations, metrics, {}, t1);
-  const CoverageMatrix c8 =
-      CoverageMatrix::Compute(graph, annotations, metrics, {}, t8);
-  if (a1.matrix().data() != a8.matrix().data() ||
-      c1.matrix().data() != c8.matrix().data()) {
+  const auto a1 = AffinityMatrix::TryCompute(graph, metrics, {}, t1);
+  const auto a8 = AffinityMatrix::TryCompute(graph, metrics, {}, t8);
+  const auto c1 =
+      CoverageMatrix::TryCompute(graph, annotations, metrics, {}, t1);
+  const auto c8 =
+      CoverageMatrix::TryCompute(graph, annotations, metrics, {}, t8);
+  if (a1->matrix().data() != a8->matrix().data() ||
+      c1->matrix().data() != c8->matrix().data()) {
     *deterministic_ok = false;
     report.kernels.front().deterministic = false;
     std::fprintf(stderr, "MISMATCH: %s matrices diverged across threads\n",
                  name.c_str());
   }
   report.kernels[0].batched_t8_ms = TimeMs([&] {
-    AffinityMatrix m = AffinityMatrix::Compute(graph, metrics, {}, t8);
+    auto m = AffinityMatrix::TryCompute(graph, metrics, {}, t8);
     (void)m;
   });
   report.kernels[1].batched_t8_ms = TimeMs([&] {
-    CoverageMatrix m =
-        CoverageMatrix::Compute(graph, annotations, metrics, {}, t8);
+    auto m = CoverageMatrix::TryCompute(graph, annotations, metrics, {}, t8);
     (void)m;
   });
   return report;

@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
     }
     CountingVisitor counter;
     (void)stream->Accept(&counter);
-    SummarizerContext context(ds.schema(), *ann);
+    auto context = SummarizerContext::Make(ds.schema(), *ann).ValueOrDie();
     auto sel = SelectBalanced(context, 10);
     if (!sel.ok()) {
       std::fprintf(stderr, "summarize failed: %s\n",

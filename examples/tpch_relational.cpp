@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  SummarizerContext context(ds.schema(), *ann);
+  auto context = SummarizerContext::Make(ds.schema(), *ann).ValueOrDie();
   auto summary = Summarize(context, 5);
   if (!summary.ok()) {
     std::fprintf(stderr, "summarize failed: %s\n",

@@ -166,6 +166,14 @@ Result<int64_t> ConfigMap::GetInt(std::string_view key) const {
   return *parsed;
 }
 
+Result<uint64_t> ConfigMap::GetUint(std::string_view key) const {
+  auto value = GetString(key);
+  SSUM_RETURN_NOT_OK(value.status());
+  auto parsed = ParseUint64(*value);
+  if (!parsed.ok()) return TypedError(key, "non-negative integer", *value);
+  return *parsed;
+}
+
 int64_t ConfigMap::GetInt(std::string_view key, int64_t default_value) const {
   if (!Has(key)) return default_value;
   auto parsed = GetInt(key);

@@ -58,6 +58,8 @@ class ConfigMap {
   std::string GetString(std::string_view key,
                         std::string_view default_value) const;
   Result<int64_t> GetInt(std::string_view key) const;
+  /// Full uint64 range; negative or overflowing text is an error.
+  Result<uint64_t> GetUint(std::string_view key) const;
   int64_t GetInt(std::string_view key, int64_t default_value) const;
   Result<double> GetDouble(std::string_view key) const;
   double GetDouble(std::string_view key, double default_value) const;

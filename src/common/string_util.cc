@@ -61,6 +61,20 @@ Result<int64_t> ParseInt64(std::string_view s) {
   return static_cast<int64_t>(v);
 }
 
+Result<uint64_t> ParseUint64(std::string_view s) {
+  std::string buf(TrimWhitespace(s));
+  if (buf.empty()) return Status::ParseError("empty integer");
+  // strtoull would silently wrap "-1" to 2^64 - 1.
+  if (buf[0] == '-') return Status::ParseError("negative integer: " + buf);
+  errno = 0;
+  char* end = nullptr;
+  unsigned long long v = std::strtoull(buf.c_str(), &end, 10);
+  if (errno == ERANGE) return Status::ParseError("integer out of range: " + buf);
+  if (end != buf.c_str() + buf.size())
+    return Status::ParseError("trailing characters in integer: " + buf);
+  return static_cast<uint64_t>(v);
+}
+
 Result<double> ParseDouble(std::string_view s) {
   std::string buf(TrimWhitespace(s));
   if (buf.empty()) return Status::ParseError("empty double");

@@ -23,7 +23,9 @@ std::string JoinStrings(const std::vector<std::string>& items,
                         std::string_view sep);
 
 /// Strict integer / double parsing (whole string must be consumed).
+/// ParseUint64 covers the full uint64 range and rejects a leading '-'.
 Result<int64_t> ParseInt64(std::string_view s);
+Result<uint64_t> ParseUint64(std::string_view s);
 Result<double> ParseDouble(std::string_view s);
 
 /// Lower-cases ASCII characters.

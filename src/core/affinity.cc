@@ -1,7 +1,5 @@
 #include "core/affinity.h"
 
-#include "common/logging.h"
-
 namespace ssum {
 
 Result<AffinityMatrix> AffinityMatrix::TryCompute(
@@ -36,76 +34,6 @@ Result<AffinityMatrix> AffinityMatrix::TryCompute(
       parallel);
   SSUM_RETURN_NOT_OK(st);
   return out;
-}
-
-Result<AffinityMatrix> AffinityMatrix::TryPatch(
-    const SchemaGraph& graph, const EdgeMetrics& metrics,
-    const AffinityMatrix& base, std::span<const ElementId> dirty_elements,
-    const AffinityOptions& options, const ParallelOptions& parallel,
-    const MatrixPatchOptions& patch, MatrixPatchStats* stats) {
-  const size_t n = graph.size();
-  if (base.size() != n) {
-    return Status::FailedPrecondition(
-        "AffinityMatrix::TryPatch: base matrix order " +
-        std::to_string(base.size()) + " does not match schema order " +
-        std::to_string(n));
-  }
-  const std::vector<uint8_t> mask =
-      DirtyFrontierClosure(graph, dirty_elements, options.max_steps);
-  std::vector<ElementId> rows_to_walk;
-  for (ElementId e = 0; e < n; ++e) {
-    if (mask[e]) rows_to_walk.push_back(e);
-  }
-  if (stats != nullptr) {
-    stats->dirty_rows = rows_to_walk.size();
-    stats->total_rows = n;
-    stats->patched = false;
-  }
-  if (static_cast<double>(rows_to_walk.size()) >
-      patch.max_dirty_fraction * static_cast<double>(n)) {
-    return TryCompute(graph, metrics, options, parallel);
-  }
-  AffinityMatrix out;
-  out.m_ = base.m_;  // rows outside the closure keep their base bytes
-  WalkSearchOptions walk;
-  walk.max_steps = options.max_steps;
-  walk.divide_by_steps = true;
-  // The plan snapshots the *new* metrics, so a re-walked row is exactly the
-  // row a full TryCompute would produce (the batch engine's results do not
-  // depend on which sources share a lane block).
-  const WalkPlan plan = WalkPlan::Build(graph, metrics.edge_affinity);
-  const size_t blocks =
-      (rows_to_walk.size() + kWalkLaneWidth - 1) / kWalkLaneWidth;
-  Status st = ParallelFor(
-      0, blocks, /*grain=*/1,
-      [&](size_t block) {
-        const size_t begin = block * kWalkLaneWidth;
-        const size_t count =
-            std::min(kWalkLaneWidth, rows_to_walk.size() - begin);
-        ElementId sources[kWalkLaneWidth];
-        std::span<double> rows[kWalkLaneWidth];
-        for (size_t i = 0; i < count; ++i) {
-          sources[i] = rows_to_walk[begin + i];
-          rows[i] = out.m_.RowSpan(sources[i]);
-        }
-        MaxProductWalksBatch(plan, {sources, count}, walk, {rows, count});
-        for (size_t i = 0; i < count; ++i) {
-          rows[i][sources[i]] = 1.0;  // Formula 2 special case
-        }
-      },
-      parallel);
-  SSUM_RETURN_NOT_OK(st);
-  if (stats != nullptr) stats->patched = true;
-  return out;
-}
-
-AffinityMatrix AffinityMatrix::Compute(const SchemaGraph& graph,
-                                       const EdgeMetrics& metrics,
-                                       const AffinityOptions& options,
-                                       const ParallelOptions& parallel) {
-  auto out = TryCompute(graph, metrics, options, parallel);
-  SSUM_CHECK(out.ok(), out.status().ToString());
-  return std::move(*out);
 }
 
 }  // namespace ssum

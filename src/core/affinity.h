@@ -40,33 +40,9 @@ class AffinityMatrix {
                                            const AffinityOptions& options = {},
                                            const ParallelOptions& parallel = {});
 
-  /// TryCompute for callers without a deadline; aborts on failure (the
-  /// kernels themselves cannot fail).
-  static AffinityMatrix Compute(const SchemaGraph& graph,
-                                const EdgeMetrics& metrics,
-                                const AffinityOptions& options = {},
-                                const ParallelOptions& parallel = {});
-
-  /// Incremental recompute from a base matrix: only the rows inside the
-  /// dirty-frontier closure of `dirty_elements` (DirtyMetricElements over
-  /// the old/new statistics) are re-walked against the *new* metrics; every
-  /// other row is copied from `base`. Bit-identical to TryCompute(graph,
-  /// metrics, ...) — a row outside the closure cannot traverse a changed
-  /// edge within max_steps, so its walk values are unchanged. Falls back to
-  /// a full TryCompute past patch.max_dirty_fraction (reported via `stats`,
-  /// which may be null). FailedPrecondition when `base` has the wrong order.
-  static Result<AffinityMatrix> TryPatch(const SchemaGraph& graph,
-                                         const EdgeMetrics& metrics,
-                                         const AffinityMatrix& base,
-                                         std::span<const ElementId> dirty_elements,
-                                         const AffinityOptions& options = {},
-                                         const ParallelOptions& parallel = {},
-                                         const MatrixPatchOptions& patch = {},
-                                         MatrixPatchStats* stats = nullptr);
-
   /// Wraps an externally produced matrix — the warm-start path of the
   /// snapshot store (src/store), which decodes the bit-identical matrix a
-  /// previous Compute() persisted. Callers are responsible for the
+  /// previous TryCompute() persisted. Callers are responsible for the
   /// provenance; the cache keys it by schema/statistics/options.
   static AffinityMatrix FromMatrix(SquareMatrix m) {
     AffinityMatrix a;

@@ -1,7 +1,5 @@
 #include "core/coverage.h"
 
-#include "common/logging.h"
-
 namespace ssum {
 
 Result<CoverageMatrix> CoverageMatrix::TryCompute(
@@ -57,92 +55,6 @@ Result<CoverageMatrix> CoverageMatrix::TryCompute(
       parallel);
   SSUM_RETURN_NOT_OK(st);
   return out;
-}
-
-Result<CoverageMatrix> CoverageMatrix::TryPatch(
-    const SchemaGraph& graph, const Annotations& annotations,
-    const EdgeMetrics& metrics, const CoverageMatrix& base,
-    std::span<const ElementId> dirty_elements, const CoverageOptions& options,
-    const ParallelOptions& parallel, const MatrixPatchOptions& patch,
-    MatrixPatchStats* stats) {
-  const size_t n = graph.size();
-  if (base.size() != n) {
-    return Status::FailedPrecondition(
-        "CoverageMatrix::TryPatch: base matrix order " +
-        std::to_string(base.size()) + " does not match schema order " +
-        std::to_string(n));
-  }
-  const std::vector<uint8_t> mask =
-      DirtyFrontierClosure(graph, dirty_elements, options.max_steps);
-  std::vector<ElementId> rows_to_walk;
-  for (ElementId e = 0; e < n; ++e) {
-    if (mask[e]) rows_to_walk.push_back(e);
-  }
-  if (stats != nullptr) {
-    stats->dirty_rows = rows_to_walk.size();
-    stats->total_rows = n;
-    stats->patched = false;
-  }
-  if (static_cast<double>(rows_to_walk.size()) >
-      patch.max_dirty_fraction * static_cast<double>(n)) {
-    return TryCompute(graph, annotations, metrics, options, parallel);
-  }
-  // Same step-factor construction as TryCompute, over the *new* metrics.
-  EdgeFactors factors(n);
-  for (ElementId u = 0; u < n; ++u) {
-    const auto& nbrs = graph.neighbors(u);
-    factors[u].resize(nbrs.size());
-    for (size_t i = 0; i < nbrs.size(); ++i) {
-      const ElementId v = nbrs[i].other;
-      const uint32_t j = metrics.mirror[u][i];
-      factors[u][i] = metrics.edge_affinity[u][i] * metrics.w[v][j];
-    }
-  }
-  CoverageMatrix out;
-  out.m_ = base.m_;  // rows outside the closure keep their base bytes
-  WalkSearchOptions walk;
-  walk.max_steps = options.max_steps;
-  walk.divide_by_steps = false;
-  const WalkPlan plan = WalkPlan::Build(graph, factors);
-  const size_t blocks =
-      (rows_to_walk.size() + kWalkLaneWidth - 1) / kWalkLaneWidth;
-  Status st = ParallelFor(
-      0, blocks, /*grain=*/1,
-      [&](size_t block) {
-        const size_t begin = block * kWalkLaneWidth;
-        const size_t count =
-            std::min(kWalkLaneWidth, rows_to_walk.size() - begin);
-        ElementId sources[kWalkLaneWidth];
-        std::span<double> rows[kWalkLaneWidth];
-        for (size_t i = 0; i < count; ++i) {
-          sources[i] = rows_to_walk[begin + i];
-          rows[i] = out.m_.RowSpan(sources[i]);
-        }
-        MaxProductWalksBatch(plan, {sources, count}, walk, {rows, count});
-        for (size_t i = 0; i < count; ++i) {
-          std::span<double> dst = rows[i];
-          for (size_t t = 0; t < n; ++t) {
-            dst[t] *= static_cast<double>(
-                annotations.card(static_cast<ElementId>(t)));
-          }
-          dst[sources[i]] =
-              static_cast<double>(annotations.card(sources[i]));  // special case
-        }
-      },
-      parallel);
-  SSUM_RETURN_NOT_OK(st);
-  if (stats != nullptr) stats->patched = true;
-  return out;
-}
-
-CoverageMatrix CoverageMatrix::Compute(const SchemaGraph& graph,
-                                       const Annotations& annotations,
-                                       const EdgeMetrics& metrics,
-                                       const CoverageOptions& options,
-                                       const ParallelOptions& parallel) {
-  auto out = TryCompute(graph, annotations, metrics, options, parallel);
-  SSUM_CHECK(out.ok(), out.status().ToString());
-  return std::move(*out);
 }
 
 }  // namespace ssum

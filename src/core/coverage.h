@@ -41,35 +41,9 @@ class CoverageMatrix {
                                            const CoverageOptions& options = {},
                                            const ParallelOptions& parallel = {});
 
-  /// TryCompute for callers without a deadline; aborts on failure (the
-  /// kernels themselves cannot fail).
-  static CoverageMatrix Compute(const SchemaGraph& graph,
-                                const Annotations& annotations,
-                                const EdgeMetrics& metrics,
-                                const CoverageOptions& options = {},
-                                const ParallelOptions& parallel = {});
-
-  /// Incremental recompute from a base matrix: rows inside the
-  /// dirty-frontier closure of `dirty_elements` (DirtyMetricElements over
-  /// old/new statistics — cardinality changes seed the set too, covering
-  /// the card(t) column scaling and the card(s) diagonal) are re-walked
-  /// against the *new* annotations/metrics; every other row is copied from
-  /// `base`. Bit-identical to TryCompute; falls back to a full TryCompute
-  /// past patch.max_dirty_fraction (reported via `stats`, which may be
-  /// null). FailedPrecondition when `base` has the wrong order.
-  static Result<CoverageMatrix> TryPatch(const SchemaGraph& graph,
-                                         const Annotations& annotations,
-                                         const EdgeMetrics& metrics,
-                                         const CoverageMatrix& base,
-                                         std::span<const ElementId> dirty_elements,
-                                         const CoverageOptions& options = {},
-                                         const ParallelOptions& parallel = {},
-                                         const MatrixPatchOptions& patch = {},
-                                         MatrixPatchStats* stats = nullptr);
-
   /// Wraps an externally produced matrix — the warm-start path of the
   /// snapshot store (src/store), which decodes the bit-identical matrix a
-  /// previous Compute() persisted.
+  /// previous TryCompute() persisted.
   static CoverageMatrix FromMatrix(SquareMatrix m) {
     CoverageMatrix c;
     c.m_ = std::move(m);

@@ -86,13 +86,14 @@ WalkPlan WalkPlan::Build(const SchemaGraph& graph, const EdgeFactors& factors) {
 
 namespace {
 
+constexpr size_t kB = kWalkLaneWidth;
+
 /// Lane-interleaved scratch reused across every lane block of one batch.
 /// `cur`/`next` are never bulk-cleared: `next` lanes are fully written on
 /// first touch each step (stamp-guarded), and `cur` is only ever read at
 /// frontier vertices, which are always freshly written. Only `best` needs a
 /// per-block zero fill. `stamp` uses monotonically increasing epochs so it
 /// survives block reuse without a reset pass.
-template <size_t kB>
 struct BatchScratch {
   AlignedVector<double> cur;
   AlignedVector<double> next;
@@ -110,9 +111,8 @@ struct BatchScratch {
 };
 
 inline double* AssumeLaneAligned(double* p) {
-  // Every vertex's lane block is kB doubles = one or two whole 64-byte
-  // lines into a 64-byte-aligned array (kB * 8 is a multiple of 64 for
-  // both supported widths).
+  // Every vertex's lane block is kB doubles = one whole 64-byte line into a
+  // 64-byte-aligned array.
   return static_cast<double*>(__builtin_assume_aligned(p, 64));
 }
 
@@ -120,9 +120,8 @@ inline double* AssumeLaneAligned(double* p) {
 /// lane-interleaved (entry v*kB + lane) so each relaxation touches kB
 /// contiguous doubles — whole cache lines, and a trivially vectorizable
 /// multiply-max loop.
-template <size_t kB>
 void RunLaneBlock(const WalkPlan& plan, const ElementId* sources, size_t count,
-                  const WalkSearchOptions& options, BatchScratch<kB>& scratch,
+                  const WalkSearchOptions& options, BatchScratch& scratch,
                   const std::span<double>* out_rows) {
   const size_t n = plan.num_elements;
   // Epoch layout per block: seed_epoch, then one epoch per step.
@@ -200,11 +199,10 @@ void RunLaneBlock(const WalkPlan& plan, const ElementId* sources, size_t count,
 
 }  // namespace
 
-template <size_t kLanes>
-void MaxProductWalksBatchW(const WalkPlan& plan,
-                           std::span<const ElementId> sources,
-                           const WalkSearchOptions& options,
-                           std::span<const std::span<double>> out_rows) {
+void MaxProductWalksBatch(const WalkPlan& plan,
+                          std::span<const ElementId> sources,
+                          const WalkSearchOptions& options,
+                          std::span<const std::span<double>> out_rows) {
   const size_t n = plan.num_elements;
   SSUM_CHECK(sources.size() == out_rows.size(),
              "MaxProductWalksBatch: sources/out_rows size mismatch");
@@ -213,57 +211,12 @@ void MaxProductWalksBatchW(const WalkPlan& plan,
     SSUM_CHECK(out_rows[i].size() == n,
                "MaxProductWalksBatch: output row shape mismatch");
   }
-  BatchScratch<kLanes> scratch(n);
-  for (size_t b = 0; b < sources.size(); b += kLanes) {
-    const size_t count = std::min(kLanes, sources.size() - b);
-    RunLaneBlock<kLanes>(plan, sources.data() + b, count, options, scratch,
-                         out_rows.data() + b);
+  BatchScratch scratch(n);
+  for (size_t b = 0; b < sources.size(); b += kWalkLaneWidth) {
+    const size_t count = std::min(kWalkLaneWidth, sources.size() - b);
+    RunLaneBlock(plan, sources.data() + b, count, options, scratch,
+                 out_rows.data() + b);
   }
-}
-
-template void MaxProductWalksBatchW<8>(const WalkPlan&,
-                                       std::span<const ElementId>,
-                                       const WalkSearchOptions&,
-                                       std::span<const std::span<double>>);
-template void MaxProductWalksBatchW<16>(const WalkPlan&,
-                                        std::span<const ElementId>,
-                                        const WalkSearchOptions&,
-                                        std::span<const std::span<double>>);
-
-void MaxProductWalksBatch(const WalkPlan& plan,
-                          std::span<const ElementId> sources,
-                          const WalkSearchOptions& options,
-                          std::span<const std::span<double>> out_rows) {
-  MaxProductWalksBatchW<kWalkLaneWidth>(plan, sources, options, out_rows);
-}
-
-std::vector<uint8_t> DirtyFrontierClosure(const SchemaGraph& graph,
-                                          std::span<const ElementId> dirty,
-                                          uint32_t max_steps) {
-  const size_t n = graph.size();
-  std::vector<uint8_t> mask(n, 0);
-  std::vector<ElementId> frontier;
-  for (ElementId e : dirty) {
-    SSUM_CHECK(e < n, "DirtyFrontierClosure: dirty element out of range");
-    if (!mask[e]) {
-      mask[e] = 1;
-      frontier.push_back(e);
-    }
-  }
-  std::vector<ElementId> next_frontier;
-  for (uint32_t hop = 0; hop < max_steps && !frontier.empty(); ++hop) {
-    next_frontier.clear();
-    for (ElementId u : frontier) {
-      for (const Neighbor& nbr : graph.neighbors(u)) {
-        if (!mask[nbr.other]) {
-          mask[nbr.other] = 1;
-          next_frontier.push_back(nbr.other);
-        }
-      }
-    }
-    frontier.swap(next_frontier);
-  }
-  return mask;
 }
 
 }  // namespace ssum

@@ -33,19 +33,6 @@ const char* SummaryModeName(SummaryMode m) {
   return "?";
 }
 
-SummarizerContext::SummarizerContext(const SchemaGraph& graph,
-                                     const Annotations& annotations,
-                                     const SummarizeOptions& options)
-    : SummarizerContext(graph, annotations, options, nullptr) {}
-
-SummarizerContext::SummarizerContext(const SchemaGraph& graph,
-                                     const Annotations& annotations,
-                                     const SummarizeOptions& options,
-                                     ArtifactCache* cache) {
-  Status st = Init(graph, annotations, options, cache);
-  SSUM_CHECK(st.ok(), st.ToString());
-}
-
 Result<SummarizerContext> SummarizerContext::Make(
     const SchemaGraph& graph, const Annotations& annotations,
     const SummarizeOptions& options, ArtifactCache* cache) {
@@ -57,8 +44,7 @@ Result<SummarizerContext> SummarizerContext::Make(
 namespace {
 
 /// Shared content key of the two matrix artifacts (the family tells them
-/// apart). MakeIncremental must produce exactly the key Init would, or
-/// patched installs would never be hit by later cold runs.
+/// apart).
 Fingerprint MatrixCacheKey(const SchemaGraph& graph,
                            const Annotations& annotations,
                            const SummarizeOptions& options) {
@@ -82,72 +68,13 @@ void InstallMatrix(ArtifactCache* cache, const char* family,
 
 Result<SummarizerContext> SummarizerContext::MakeIncremental(
     const SummarizerContext& base, const Annotations& annotations,
-    ArtifactCache* cache, const MatrixPatchOptions& patch,
+    ArtifactCache* cache, const MatrixPatchOptions& /*patch*/,
     MatrixPatchStats* affinity_stats, MatrixPatchStats* coverage_stats) {
-  const SchemaGraph& graph = base.graph();
-  const SummarizeOptions& options = base.options();
-  SSUM_RETURN_NOT_OK(
-      options.parallel.deadline.Check("incremental summarizer context build"));
-  if (annotations.num_elements() != graph.size()) {
-    return Status::FailedPrecondition(
-        "incremental context: annotations describe " +
-        std::to_string(annotations.num_elements()) + " elements, schema has " +
-        std::to_string(graph.size()));
+  const size_t n = base.graph().size();
+  for (MatrixPatchStats* stats : {affinity_stats, coverage_stats}) {
+    if (stats != nullptr) *stats = {n, n, false};
   }
-  SummarizerContext context;
-  context.graph_ = &graph;
-  context.annotations_ = &annotations;
-  context.options_ = options;
-  context.metrics_ = EdgeMetrics::Compute(graph, annotations);
-  // Seed set for the frontier closure: every element whose cardinality,
-  // edge-affinity row, or neighbor-weight row moved between the versions.
-  const std::vector<ElementId> dirty = DirtyMetricElements(
-      base.annotations(), base.metrics(), annotations, context.metrics_);
-  // Same 3-task shape as Init: importance has no incremental structure (the
-  // iteration is global), so it recomputes; the two matrices patch. Each
-  // task writes one member, so the concurrent build stays bit-identical.
-  const ParallelOptions& parallel = options.parallel;
-  Status task_status[3];
-  Status st = ParallelFor(
-      0, 3, /*grain=*/1,
-      [&](size_t task) {
-        switch (task) {
-          case 0:
-            context.importance_ = ComputeImportance(
-                graph, annotations, context.metrics_, options.importance);
-            break;
-          case 1: {
-            auto m = AffinityMatrix::TryPatch(
-                graph, context.metrics_, base.affinity(), dirty,
-                options.affinity, parallel, patch, affinity_stats);
-            if (m.ok()) context.affinity_ = std::move(*m);
-            task_status[task] = m.status();
-            break;
-          }
-          case 2: {
-            auto m = CoverageMatrix::TryPatch(
-                graph, annotations, context.metrics_, base.coverage(), dirty,
-                options.coverage, parallel, patch, coverage_stats);
-            if (m.ok()) context.coverage_ = std::move(*m);
-            task_status[task] = m.status();
-            break;
-          }
-        }
-      },
-      parallel);
-  SSUM_RETURN_NOT_OK(st);
-  for (const Status& ts : task_status) SSUM_RETURN_NOT_OK(ts);
-  // Patched matrices are bit-identical to computed ones, so installing them
-  // under the new content key is indistinguishable from a cold install.
-  if (cache != nullptr) {
-    const Fingerprint key = MatrixCacheKey(graph, annotations, options);
-    InstallMatrix(cache, ArtifactCache::kAffinityFamily, key,
-                  context.affinity_.matrix(), "affinity");
-    InstallMatrix(cache, ArtifactCache::kCoverageFamily, key,
-                  context.coverage_.matrix(), "coverage");
-  }
-  context.dominance_ = ComputeDominance(graph, annotations, context.coverage_);
-  return context;
+  return Make(base.graph(), annotations, base.options(), cache);
 }
 
 Status SummarizerContext::Init(const SchemaGraph& graph,
@@ -156,6 +83,12 @@ Status SummarizerContext::Init(const SchemaGraph& graph,
                                ArtifactCache* cache) {
   SSUM_RETURN_NOT_OK(
       options.parallel.deadline.Check("summarizer context build"));
+  if (annotations.num_elements() != graph.size()) {
+    return Status::FailedPrecondition(
+        "summarizer context: annotations describe " +
+        std::to_string(annotations.num_elements()) + " elements, schema has " +
+        std::to_string(graph.size()));
+  }
   graph_ = &graph;
   annotations_ = &annotations;
   options_ = options;
@@ -589,15 +522,6 @@ Result<SchemaSummary> Summarize(const SummarizerContext& context, size_t k,
                       std::move(selected));
 }
 
-Result<SchemaSummary> Summarize(const SchemaGraph& graph,
-                                const Annotations& annotations, size_t k,
-                                Algorithm algorithm,
-                                const SummarizeOptions& options) {
-  auto context = SummarizerContext::Make(graph, annotations, options);
-  SSUM_RETURN_NOT_OK(context.status());
-  return Summarize(*context, k, algorithm);
-}
-
 Fingerprint SummaryFingerprint(const SchemaGraph& graph,
                                const Annotations& annotations,
                                const SummarizeOptions& options, size_t k,
@@ -630,17 +554,19 @@ Result<SchemaSummary> Summarize(const SchemaGraph& graph,
                                 const SummarizeOptions& options,
                                 ArtifactCache* cache) {
   // Three cache layers, each a strict subset of the work below it: a summary
-  // hit skips everything; otherwise the context constructor tries the two
+  // hit skips everything; otherwise SummarizerContext::Make tries the two
   // matrices; whatever was computed is installed for the next invocation.
   SSUM_RETURN_NOT_OK(options.parallel.deadline.Check("summarize"));
-  if (cache == nullptr) return Summarize(graph, annotations, k, algorithm, options);
-  const Fingerprint key =
-      SummaryFingerprint(graph, annotations, options, k, algorithm);
-  if (auto hit = cache->LoadSummary(graph, key)) return std::move(*hit);
+  Fingerprint key;
+  if (cache != nullptr) {
+    key = SummaryFingerprint(graph, annotations, options, k, algorithm);
+    if (auto hit = cache->LoadSummary(graph, key)) return std::move(*hit);
+  }
   auto context = SummarizerContext::Make(graph, annotations, options, cache);
   SSUM_RETURN_NOT_OK(context.status());
   SchemaSummary summary;
   SSUM_ASSIGN_OR_RETURN(summary, Summarize(*context, k, algorithm));
+  if (cache == nullptr) return summary;
   if (Status s = cache->StoreSummary(key, summary); !s.ok()) {
     SSUM_LOG(kWarning) << "summary install failed: " << s.ToString();
   }

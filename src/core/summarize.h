@@ -63,6 +63,18 @@ struct SummarizeOptions {
   ParallelOptions parallel;
 };
 
+/// Kept only for perfbench source compatibility; goes with the next
+/// benchmark change. MakeIncremental ignores it.
+struct MatrixPatchOptions {};
+
+/// Kept only for perfbench source compatibility; goes with the next
+/// benchmark change. MakeIncremental always reports a full recompute.
+struct MatrixPatchStats {
+  size_t dirty_rows = 0;
+  size_t total_rows = 0;
+  bool patched = false;
+};
+
 /// Shared per-schema computation cache. All algorithm entry points accept a
 /// prepared context so that repeated summarizations (size sweeps, parameter
 /// studies) reuse the expensive matrices. With more than one thread the
@@ -71,40 +83,23 @@ struct SummarizeOptions {
 /// dominance follows after coverage.
 class SummarizerContext {
  public:
-  SummarizerContext(const SchemaGraph& graph, const Annotations& annotations,
-                    const SummarizeOptions& options = {});
-
-  /// Warm-start construction: consults `cache` (may be null) for the two
-  /// all-pairs matrices — keyed by the schema, statistics, and
-  /// matrix-relevant option fingerprints — before computing, and installs
-  /// whatever it had to compute. Cache failures of any kind only cost the
-  /// recompute; the result is bit-identical with and without a cache.
-  SummarizerContext(const SchemaGraph& graph, const Annotations& annotations,
-                    const SummarizeOptions& options, ArtifactCache* cache);
-
-  /// Construction that propagates instead of aborting: an expired
-  /// `options.parallel.deadline` surfaces as kDeadlineExceeded (checked on
-  /// entry and between matrix row blocks). The legacy constructors wrap this
-  /// and abort, matching their historical contract. `graph` and
-  /// `annotations` must outlive the context.
+  /// The one way to build a context. `cache` (may be null) is consulted for
+  /// the two all-pairs matrices — keyed by the schema, statistics, and
+  /// matrix-relevant option fingerprints — before computing, and whatever
+  /// had to be computed is installed. Cache failures of any kind only cost
+  /// the recompute; the result is bit-identical with and without a cache.
+  /// An expired `options.parallel.deadline` surfaces as kDeadlineExceeded
+  /// (checked on entry and between matrix row blocks); annotations of
+  /// another schema fail with FailedPrecondition. `graph` and `annotations`
+  /// must outlive the context.
   static Result<SummarizerContext> Make(const SchemaGraph& graph,
                                         const Annotations& annotations,
                                         const SummarizeOptions& options = {},
                                         ArtifactCache* cache = nullptr);
 
-  /// Incremental construction from a prior version's context: instead of the
-  /// all-pairs matrix computations, the base matrices are *patched* — only
-  /// walk rows inside the dirty-frontier closure of the elements whose
-  /// statistics changed (DirtyMetricElements) are re-walked against the new
-  /// metrics (AffinityMatrix::TryPatch / CoverageMatrix::TryPatch). The
-  /// result is bit-identical to Make(base.graph(), annotations, ...); past
-  /// `patch.max_dirty_fraction` the patchers fall back to the full
-  /// computation on their own. `annotations` must describe the same schema
-  /// as `base` (FailedPrecondition otherwise — callers fall back to Make)
-  /// and must outlive the context, as must `base`'s graph. Patched matrices
-  /// are installed in `cache` (may be null) under the *new* content key, so
-  /// later cold runs of the new version hit. `affinity_stats` /
-  /// `coverage_stats` (each may be null) report rows patched vs re-walked.
+  /// Kept only for perfbench source compatibility; goes with the next
+  /// benchmark change. Forwards to Make(base.graph(), annotations,
+  /// base.options(), cache) and reports each matrix as fully recomputed.
   static Result<SummarizerContext> MakeIncremental(
       const SummarizerContext& base, const Annotations& annotations,
       ArtifactCache* cache = nullptr, const MatrixPatchOptions& patch = {},
@@ -120,7 +115,7 @@ class SummarizerContext {
   const CoverageMatrix& coverage() const { return coverage_; }
   const DominanceResult& dominance() const { return dominance_; }
 
-  /// How many of the two matrices the constructor loaded from the cache
+  /// How many of the two matrices Make loaded from the cache
   /// (0 = cold, 2 = fully warm). Benches assert warm runs compute nothing.
   int matrices_loaded_from_cache() const { return matrices_from_cache_; }
 
@@ -164,12 +159,6 @@ Result<std::vector<ElementId>> SelectBalanced(const SummarizerContext& context,
 Result<SchemaSummary> Summarize(const SummarizerContext& context, size_t k,
                                 Algorithm algorithm = Algorithm::kBalanceSummary);
 
-/// One-shot convenience: builds a context and summarizes.
-Result<SchemaSummary> Summarize(const SchemaGraph& graph,
-                                const Annotations& annotations, size_t k,
-                                Algorithm algorithm = Algorithm::kBalanceSummary,
-                                const SummarizeOptions& options = {});
-
 /// Cache key of a finished summary: everything the selection depends on —
 /// schema, statistics, matrix-relevant options, selection options, K and
 /// the algorithm.
@@ -178,14 +167,15 @@ Fingerprint SummaryFingerprint(const SchemaGraph& graph,
                                const SummarizeOptions& options, size_t k,
                                Algorithm algorithm);
 
-/// Warm-start one-shot: a cached summary is returned without building a
-/// context at all (zero annotation/matrix/selection computation); otherwise
-/// the context warm-starts its matrices from `cache` and the computed
-/// summary is installed for the next invocation. `cache` may be null.
+/// One-shot convenience: builds a context and summarizes. With a `cache`, a
+/// cached summary is returned without building a context at all (zero
+/// annotation/matrix/selection computation); otherwise the context
+/// warm-starts its matrices from `cache` and the computed summary is
+/// installed for the next invocation.
 Result<SchemaSummary> Summarize(const SchemaGraph& graph,
                                 const Annotations& annotations, size_t k,
-                                Algorithm algorithm,
-                                const SummarizeOptions& options,
-                                ArtifactCache* cache);
+                                Algorithm algorithm = Algorithm::kBalanceSummary,
+                                const SummarizeOptions& options = {},
+                                ArtifactCache* cache = nullptr);
 
 }  // namespace ssum

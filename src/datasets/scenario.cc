@@ -40,13 +40,7 @@ constexpr uint64_t kMutateGrowStream = 6;
 
 Status ReadU64(const ConfigMap& c, std::string_view key, uint64_t* out) {
   if (!c.Has(key)) return Status::OK();
-  auto v = c.GetInt(key);
-  SSUM_RETURN_NOT_OK(v.status());
-  if (*v < 0) {
-    return Status::InvalidArgument("config key '" + std::string(key) +
-                                   "' must be >= 0");
-  }
-  *out = static_cast<uint64_t>(*v);
+  SSUM_ASSIGN_OR_RETURN(*out, c.GetUint(key));
   return Status::OK();
 }
 

@@ -211,8 +211,7 @@ Result<DatasetBundle> LoadScenarioFile(const std::string& path,
 /// annotations are bit-identical to a full AnnotateSchemaSharded pass over
 /// `next` regardless of which path produced them.
 struct ScenarioDeltaResult {
-  /// Base version's annotations (always produced; the incremental matrix
-  /// patch needs them to seed the dirty-element set).
+  /// Base version's annotations (always produced).
   Annotations base_annotations;
   /// Next version's annotations.
   Annotations annotations;

@@ -1,6 +1,22 @@
 #include "eval/experiment.h"
 
 namespace ssum {
+namespace {
+
+/// Average discovery cost of the bundle's workload with the BalanceSummary
+/// of `annotations` at the paper's summary size.
+Result<double> BalancedSummaryCost(const DatasetBundle& bundle,
+                                   const DiscoveryOracle& oracle,
+                                   const Annotations& annotations,
+                                   const SummarizeOptions& options) {
+  SchemaSummary summary;
+  SSUM_ASSIGN_OR_RETURN(
+      summary, Summarize(bundle.schema, annotations, bundle.paper_summary_size,
+                         Algorithm::kBalanceSummary, options));
+  return AverageDiscoveryCostWithSummary(oracle, summary, bundle.workload);
+}
+
+}  // namespace
 
 Result<QueryDiscoveryRow> RunQueryDiscoveryRow(const DatasetBundle& bundle,
                                                const SummarizeOptions& options) {
@@ -17,12 +33,9 @@ Result<QueryDiscoveryRow> RunQueryDiscoveryRow(const DatasetBundle& bundle,
                                            TraversalStrategy::kBreadthFirst);
   row.best_first = AverageDiscoveryCost(oracle, bundle.workload,
                                         TraversalStrategy::kBestFirst);
-  SummarizerContext context(bundle.schema, bundle.annotations, options);
-  SchemaSummary summary;
-  SSUM_ASSIGN_OR_RETURN(summary, Summarize(context, row.summary_size,
-                                           Algorithm::kBalanceSummary));
-  row.with_summary =
-      AverageDiscoveryCostWithSummary(oracle, summary, bundle.workload);
+  SSUM_ASSIGN_OR_RETURN(row.with_summary,
+                        BalancedSummaryCost(bundle, oracle, bundle.annotations,
+                                            options));
   row.saving = row.best_first > 0 ? 1.0 - row.with_summary / row.best_first
                                   : 0.0;
   return row;
@@ -36,11 +49,13 @@ Result<BalanceRow> RunBalanceRow(const DatasetBundle& bundle,
   DiscoveryOracle oracle(bundle.schema);
   row.best_first = AverageDiscoveryCost(oracle, bundle.workload,
                                         TraversalStrategy::kBestFirst);
-  SummarizerContext context(bundle.schema, bundle.annotations, options);
+  auto context =
+      SummarizerContext::Make(bundle.schema, bundle.annotations, options);
+  SSUM_RETURN_NOT_OK(context.status());
   for (Algorithm alg : {Algorithm::kBalanceSummary, Algorithm::kMaxImportance,
                         Algorithm::kMaxCoverage}) {
     SchemaSummary summary;
-    SSUM_ASSIGN_OR_RETURN(summary, Summarize(context, row.summary_size, alg));
+    SSUM_ASSIGN_OR_RETURN(summary, Summarize(*context, row.summary_size, alg));
     double cost =
         AverageDiscoveryCostWithSummary(oracle, summary, bundle.workload);
     switch (alg) {
@@ -62,12 +77,14 @@ Result<std::vector<SizeSweepPoint>> RunSizeSweep(
     const DatasetBundle& bundle, const std::vector<size_t>& sizes,
     const SummarizeOptions& options) {
   DiscoveryOracle oracle(bundle.schema);
-  SummarizerContext context(bundle.schema, bundle.annotations, options);
+  auto context =
+      SummarizerContext::Make(bundle.schema, bundle.annotations, options);
+  SSUM_RETURN_NOT_OK(context.status());
   std::vector<SizeSweepPoint> out;
   for (size_t k : sizes) {
     SchemaSummary summary;
     SSUM_ASSIGN_OR_RETURN(summary,
-                          Summarize(context, k, Algorithm::kBalanceSummary));
+                          Summarize(*context, k, Algorithm::kBalanceSummary));
     out.push_back(
         {k, AverageDiscoveryCostWithSummary(oracle, summary, bundle.workload)});
   }
@@ -82,37 +99,22 @@ Result<StructureVsDataRow> RunStructureVsDataRow(
   DiscoveryOracle oracle(bundle.schema);
 
   // Balanced: p = 0.5 over the real annotations.
-  {
-    SummarizerContext context(bundle.schema, bundle.annotations, options);
-    SchemaSummary summary;
-    SSUM_ASSIGN_OR_RETURN(summary, Summarize(context, row.summary_size,
-                                             Algorithm::kBalanceSummary));
-    row.balanced =
-        AverageDiscoveryCostWithSummary(oracle, summary, bundle.workload);
-  }
+  SSUM_ASSIGN_OR_RETURN(row.balanced, BalancedSummaryCost(bundle, oracle,
+                                                          bundle.annotations,
+                                                          options));
   // Fully data driven: p = 1 (importance == cardinality).
-  {
-    SummarizeOptions data_options = options;
-    data_options.importance.neighborhood_factor = 1.0;
-    SummarizerContext context(bundle.schema, bundle.annotations, data_options);
-    SchemaSummary summary;
-    SSUM_ASSIGN_OR_RETURN(summary, Summarize(context, row.summary_size,
-                                             Algorithm::kBalanceSummary));
-    row.data_driven =
-        AverageDiscoveryCostWithSummary(oracle, summary, bundle.workload);
-  }
+  SummarizeOptions data_options = options;
+  data_options.importance.neighborhood_factor = 1.0;
+  SSUM_ASSIGN_OR_RETURN(row.data_driven,
+                        BalancedSummaryCost(bundle, oracle, bundle.annotations,
+                                            data_options));
   // Fully schema driven: RC = 1 everywhere, I0 = 1.
-  {
-    Annotations uniform = Annotations::Uniform(bundle.schema);
-    SummarizeOptions schema_options = options;
-    schema_options.importance.cardinality_init = false;
-    SummarizerContext context(bundle.schema, uniform, schema_options);
-    SchemaSummary summary;
-    SSUM_ASSIGN_OR_RETURN(summary, Summarize(context, row.summary_size,
-                                             Algorithm::kBalanceSummary));
-    row.schema_driven =
-        AverageDiscoveryCostWithSummary(oracle, summary, bundle.workload);
-  }
+  SummarizeOptions schema_options = options;
+  schema_options.importance.cardinality_init = false;
+  SSUM_ASSIGN_OR_RETURN(
+      row.schema_driven,
+      BalancedSummaryCost(bundle, oracle, Annotations::Uniform(bundle.schema),
+                          schema_options));
   return row;
 }
 

@@ -296,25 +296,6 @@ Result<Annotations> AnnotateSchemaSharded(const ShardedInstanceSource& source,
   return total;
 }
 
-std::vector<ElementId> DirtyMetricElements(const Annotations& base,
-                                           const EdgeMetrics& base_metrics,
-                                           const Annotations& next,
-                                           const EdgeMetrics& next_metrics) {
-  SSUM_CHECK(base.num_elements() == next.num_elements() &&
-                 base_metrics.edge_affinity.size() ==
-                     next_metrics.edge_affinity.size(),
-             "DirtyMetricElements: annotations of different schemas");
-  std::vector<ElementId> dirty;
-  for (ElementId e = 0; e < base.num_elements(); ++e) {
-    if (base.card(e) != next.card(e) ||
-        base_metrics.edge_affinity[e] != next_metrics.edge_affinity[e] ||
-        base_metrics.w[e] != next_metrics.w[e]) {
-      dirty.push_back(e);
-    }
-  }
-  return dirty;
-}
-
 EdgeMetrics EdgeMetrics::Compute(const SchemaGraph& graph,
                                  const Annotations& annotations) {
   const size_t n = graph.size();

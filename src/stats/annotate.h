@@ -143,17 +143,4 @@ struct EdgeMetrics {
                              const Annotations& annotations);
 };
 
-/// Elements whose matrix-relevant statistics differ between two
-/// (annotations, metrics) pairs over the same schema: cardinality, per-edge
-/// affinity row, or neighbor-weight row. This is the seed set for the
-/// dirty-frontier closure of incremental matrix patching
-/// (AffinityMatrix::TryPatch / CoverageMatrix::TryPatch): a walk row can
-/// only change if it traverses an edge owned by one of these elements or
-/// scales by a changed cardinality. Both metrics must be computed over the
-/// same graph (mirror indices are structural and always match).
-std::vector<ElementId> DirtyMetricElements(const Annotations& base,
-                                           const EdgeMetrics& base_metrics,
-                                           const Annotations& next,
-                                           const EdgeMetrics& next_metrics);
-
 }  // namespace ssum

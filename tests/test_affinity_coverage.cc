@@ -50,7 +50,7 @@ struct WorkedExample {
 TEST(AffinityTest, PaperWorkedExample) {
   WorkedExample w;
   EdgeMetrics metrics = EdgeMetrics::Compute(w.schema, w.ann);
-  AffinityMatrix aff = AffinityMatrix::Compute(w.schema, metrics);
+  auto aff = AffinityMatrix::TryCompute(w.schema, metrics).ValueOrDie();
   // "The affinities A_{b->o} and A_{o->b} will be close to 1.0 and 0.5."
   EXPECT_DOUBLE_EQ(aff.At(w.b, w.o), 1.0);
   EXPECT_DOUBLE_EQ(aff.At(w.o, w.b), 0.5);
@@ -59,7 +59,7 @@ TEST(AffinityTest, PaperWorkedExample) {
 TEST(CoverageTest, PaperWorkedExample) {
   WorkedExample w;
   EdgeMetrics metrics = EdgeMetrics::Compute(w.schema, w.ann);
-  CoverageMatrix cov = CoverageMatrix::Compute(w.schema, w.ann, metrics);
+  auto cov = CoverageMatrix::TryCompute(w.schema, w.ann, metrics).ValueOrDie();
   // C_{o->b} = Card_b * A(o->b) * W(b->o). b's neighbors: o (RC 1). But b
   // also connects upward only to o, so W(b->o) = 1 => 20 * 0.5 * 1 = 10.
   EXPECT_NEAR(cov.At(w.o, w.b), 20 * 0.5 * 1.0, 1e-9);
@@ -71,7 +71,7 @@ TEST(CoverageTest, PaperWorkedExample) {
 TEST(AffinityTest, SelfAffinityIsOne) {
   WorkedExample w;
   EdgeMetrics metrics = EdgeMetrics::Compute(w.schema, w.ann);
-  AffinityMatrix aff = AffinityMatrix::Compute(w.schema, metrics);
+  auto aff = AffinityMatrix::TryCompute(w.schema, metrics).ValueOrDie();
   for (ElementId e = 0; e < w.schema.size(); ++e) {
     EXPECT_DOUBLE_EQ(aff.At(e, e), 1.0);
   }
@@ -80,7 +80,7 @@ TEST(AffinityTest, SelfAffinityIsOne) {
 TEST(CoverageTest, SelfCoverageIsCardinality) {
   WorkedExample w;
   EdgeMetrics metrics = EdgeMetrics::Compute(w.schema, w.ann);
-  CoverageMatrix cov = CoverageMatrix::Compute(w.schema, w.ann, metrics);
+  auto cov = CoverageMatrix::TryCompute(w.schema, w.ann, metrics).ValueOrDie();
   for (ElementId e = 0; e < w.schema.size(); ++e) {
     EXPECT_DOUBLE_EQ(cov.At(e, e), static_cast<double>(w.ann.card(e)));
   }
@@ -95,7 +95,7 @@ TEST(AffinityTest, LongerPathsAreWeaker) {
   SchemaGraph schema = std::move(builder).Build();
   Annotations ann = Annotations::Uniform(schema);
   EdgeMetrics metrics = EdgeMetrics::Compute(schema, ann);
-  AffinityMatrix aff = AffinityMatrix::Compute(schema, metrics);
+  auto aff = AffinityMatrix::TryCompute(schema, metrics).ValueOrDie();
   // One step: product 1, /1 => 1. Two steps: product 1, /2 => 0.5. Three:
   // 1/3.
   EXPECT_DOUBLE_EQ(aff.At(a, b), 1.0);
@@ -115,7 +115,7 @@ TEST(AffinityTest, UnreachableWithZeroRcEdge) {
   ann.set_structural_count(schema.parent_link(a), 5);
   // b never instantiated: RC(a->b) = 0 in both directions.
   EdgeMetrics metrics = EdgeMetrics::Compute(schema, ann);
-  AffinityMatrix aff = AffinityMatrix::Compute(schema, metrics);
+  auto aff = AffinityMatrix::TryCompute(schema, metrics).ValueOrDie();
   EXPECT_DOUBLE_EQ(aff.At(a, b), 0.0);
   EXPECT_DOUBLE_EQ(aff.At(b, a), 0.0);
 }
@@ -130,7 +130,7 @@ TEST(AffinityTest, MaxOverPathsPicksBestRoute) {
   SchemaGraph schema = std::move(builder).Build();
   Annotations ann = Annotations::Uniform(schema);
   EdgeMetrics metrics = EdgeMetrics::Compute(schema, ann);
-  AffinityMatrix aff = AffinityMatrix::Compute(schema, metrics);
+  auto aff = AffinityMatrix::TryCompute(schema, metrics).ValueOrDie();
   // Direct value link (1 step, RC=1): affinity 1. Via root: 2 steps => 0.5.
   EXPECT_DOUBLE_EQ(aff.At(x, y), 1.0);
 }
@@ -191,10 +191,10 @@ TEST(CoverageTest, CompetitionReducesCoverage) {
   SchemaGraph many = build(12, &p_many, &c_many);
   Annotations ann_few = Annotations::Uniform(few);
   Annotations ann_many = Annotations::Uniform(many);
-  CoverageMatrix cov_few = CoverageMatrix::Compute(
-      few, ann_few, EdgeMetrics::Compute(few, ann_few));
-  CoverageMatrix cov_many = CoverageMatrix::Compute(
-      many, ann_many, EdgeMetrics::Compute(many, ann_many));
+  auto cov_few = CoverageMatrix::TryCompute(
+      few, ann_few, EdgeMetrics::Compute(few, ann_few)).ValueOrDie();
+  auto cov_many = CoverageMatrix::TryCompute(
+      many, ann_many, EdgeMetrics::Compute(many, ann_many)).ValueOrDie();
   EXPECT_GT(cov_few.At(c_few, p_few), cov_many.At(c_many, p_many));
 }
 
@@ -217,11 +217,10 @@ TEST_P(ParallelDeterminismTest, AffinityMatrixIsThreadCountInvariant) {
   ParallelOptions one, eight;
   one.threads = 1;
   eight.threads = 8;
-  AffinityMatrix serial =
-      AffinityMatrix::Compute(bundle->schema, metrics, {}, one);
-  AffinityMatrix parallel =
-      AffinityMatrix::Compute(bundle->schema, metrics, {}, eight);
-  EXPECT_TRUE(ByteIdentical(serial.matrix(), parallel.matrix()));
+  auto serial = AffinityMatrix::TryCompute(bundle->schema, metrics, {}, one);
+  auto parallel =
+      AffinityMatrix::TryCompute(bundle->schema, metrics, {}, eight);
+  EXPECT_TRUE(ByteIdentical(serial->matrix(), parallel->matrix()));
 }
 
 TEST_P(ParallelDeterminismTest, CoverageMatrixIsThreadCountInvariant) {
@@ -232,11 +231,11 @@ TEST_P(ParallelDeterminismTest, CoverageMatrixIsThreadCountInvariant) {
   ParallelOptions one, eight;
   one.threads = 1;
   eight.threads = 8;
-  CoverageMatrix serial = CoverageMatrix::Compute(
+  auto serial = CoverageMatrix::TryCompute(
       bundle->schema, bundle->annotations, metrics, {}, one);
-  CoverageMatrix parallel = CoverageMatrix::Compute(
+  auto parallel = CoverageMatrix::TryCompute(
       bundle->schema, bundle->annotations, metrics, {}, eight);
-  EXPECT_TRUE(ByteIdentical(serial.matrix(), parallel.matrix()));
+  EXPECT_TRUE(ByteIdentical(serial->matrix(), parallel->matrix()));
 }
 
 INSTANTIATE_TEST_SUITE_P(Datasets, ParallelDeterminismTest,

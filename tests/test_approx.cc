@@ -57,7 +57,7 @@ std::vector<ElementId> AllNonRoot(const SchemaGraph& graph) {
 
 TEST(ApproxSketchTest, FullSketchMatchesCoverageRow) {
   Fixture f;
-  SummarizerContext context(f.schema, f.ann);
+  auto context = SummarizerContext::Make(f.schema, f.ann).ValueOrDie();
   ApproxCoverOptions opts;
   opts.epsilon = 0.0;  // keep every positive entry
   auto sketches = BuildCoverageSketches(f.schema, context.coverage(),
@@ -85,7 +85,8 @@ TEST(ApproxSketchTest, FullSketchMatchesCoverageRow) {
 TEST(ApproxSketchTest, SmallerEpsilonKeepsSupersets) {
   auto bundle = LoadDataset(DatasetKind::kXMark, 0.05);
   ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
-  SummarizerContext context(bundle->schema, bundle->annotations);
+  auto context =
+      SummarizerContext::Make(bundle->schema, bundle->annotations).ValueOrDie();
   const std::vector<ElementId>& cands = context.dominance().candidates;
 
   std::vector<std::vector<CoverageSketch>> by_eps;
@@ -140,7 +141,7 @@ TEST(ApproxPruneTest, DominatedSketchIsDropped) {
 
 TEST(ApproxSelectTest, LazyGreedyMatchesPlainGreedyOnSketches) {
   Fixture f;
-  SummarizerContext context(f.schema, f.ann);
+  auto context = SummarizerContext::Make(f.schema, f.ann).ValueOrDie();
   ApproxCoverOptions opts;
   opts.epsilon = 0.0;
   auto sketches = BuildCoverageSketches(f.schema, context.coverage(),
@@ -183,7 +184,7 @@ TEST(ApproxSelectTest, LazyGreedyMatchesPlainGreedyOnSketches) {
 
 TEST(ApproxSelectTest, EdgeCasesReturnCleanly) {
   Fixture f;
-  SummarizerContext context(f.schema, f.ann);
+  auto context = SummarizerContext::Make(f.schema, f.ann).ValueOrDie();
   const std::vector<ElementId> cands = AllNonRoot(f.schema);
 
   // Empty candidate set and k = 0: empty selection, no work.
@@ -223,7 +224,8 @@ class ApproxDatasetTest : public ::testing::TestWithParam<DatasetKind> {
 TEST_P(ApproxDatasetTest, DeterministicAcrossThreadsAndRuns) {
   auto bundle = LoadDataset(GetParam(), Scale(GetParam()));
   ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
-  SummarizerContext context(bundle->schema, bundle->annotations);
+  auto context =
+      SummarizerContext::Make(bundle->schema, bundle->annotations).ValueOrDie();
   const std::vector<ElementId>& cands = context.dominance().candidates;
   const size_t k = std::min<size_t>(5, cands.size());
 
@@ -246,7 +248,8 @@ TEST_P(ApproxDatasetTest, DeterministicAcrossThreadsAndRuns) {
 TEST_P(ApproxDatasetTest, EpsilonQualityOnPaperDatasets) {
   auto bundle = LoadDataset(GetParam(), Scale(GetParam()));
   ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
-  SummarizerContext context(bundle->schema, bundle->annotations);
+  auto context =
+      SummarizerContext::Make(bundle->schema, bundle->annotations).ValueOrDie();
   const std::vector<ElementId>& cands = context.dominance().candidates;
   const size_t k = std::min<size_t>(4, cands.size());
 
@@ -292,7 +295,9 @@ TEST(ApproxModeTest, WiredPathMatchesEngine) {
 
   SummarizeOptions approx_opts;
   approx_opts.mode = SummaryMode::kApprox;
-  SummarizerContext context(bundle->schema, bundle->annotations, approx_opts);
+  auto context = SummarizerContext::Make(bundle->schema, bundle->annotations,
+                                         approx_opts)
+                     .ValueOrDie();
   auto wired = SelectMaxCoverage(context, 5);
   ASSERT_TRUE(wired.ok()) << wired.status().ToString();
 

@@ -270,11 +270,13 @@ TEST(CacheTest, SummarizerContextWarmStartIsBitIdentical) {
   Annotations ann = f.MakeAnnotations();
   SummarizeOptions options;
 
-  SummarizerContext cold(f.schema, ann, options, &cache);
+  auto cold =
+      SummarizerContext::Make(f.schema, ann, options, &cache).ValueOrDie();
   EXPECT_EQ(cold.matrices_loaded_from_cache(), 0);
   EXPECT_EQ(cache.session_counters().installs, 2u);
 
-  SummarizerContext warm(f.schema, ann, options, &cache);
+  auto warm =
+      SummarizerContext::Make(f.schema, ann, options, &cache).ValueOrDie();
   EXPECT_EQ(warm.matrices_loaded_from_cache(), 2);
 
   const size_t n = f.schema.size();
@@ -298,7 +300,7 @@ TEST(CacheTest, SummaryStoreLoad) {
   Fixture f;
   ArtifactCache cache(MakeCacheDir("summary"));
   Annotations ann = f.MakeAnnotations();
-  SummarizerContext context(f.schema, ann);
+  auto context = SummarizerContext::Make(f.schema, ann).ValueOrDie();
   auto summary = Summarize(context, 3);
   ASSERT_TRUE(summary.ok());
   Fingerprint key{0x5u};
@@ -330,13 +332,15 @@ TEST(CacheTest, ApproxAndExactSummariesNeverCollide) {
   // ...so a cached exact summary can never satisfy an approx request, and
   // the round-trip returns each mode its own stored summary.
   ArtifactCache cache(MakeCacheDir("mode_collision"));
-  SummarizerContext context(f.schema, ann, exact_opts);
+  auto context =
+      SummarizerContext::Make(f.schema, ann, exact_opts).ValueOrDie();
   auto exact = Summarize(context, 3, Algorithm::kMaxCoverage);
   ASSERT_TRUE(exact.ok());
   ASSERT_TRUE(cache.StoreSummary(exact_key, *exact).ok());
   EXPECT_FALSE(cache.LoadSummary(f.schema, approx_key).has_value());
 
-  SummarizerContext approx_ctx(f.schema, ann, approx_opts);
+  auto approx_ctx =
+      SummarizerContext::Make(f.schema, ann, approx_opts).ValueOrDie();
   auto approx = Summarize(approx_ctx, 3, Algorithm::kMaxCoverage);
   ASSERT_TRUE(approx.ok());
   ASSERT_TRUE(cache.StoreSummary(approx_key, *approx).ok());

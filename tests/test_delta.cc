@@ -1,7 +1,7 @@
 // Incremental delta-summarization: annotation algebra (Subtract / Diff /
-// Apply), per-unit digests, the DeltaAnnotate pass, matrix patching, and the
-// incremental context — each gated on bit-identity with its full-recompute
-// counterpart.
+// Apply), per-unit digests, the DeltaAnnotate pass, and the context built
+// from delta annotations — each gated on bit-identity with its
+// full-recompute counterpart.
 
 #include <algorithm>
 #include <cstring>
@@ -215,115 +215,6 @@ TEST(DeltaAnnotateTest, UnitCountMismatchFailsCleanly) {
 }
 
 // ---------------------------------------------------------------------------
-// Matrix patching: TryPatch == TryCompute, bit for bit
-// ---------------------------------------------------------------------------
-
-/// A single-element cardinality bump keeps the dirty-frontier closure small
-/// at short walk bounds, so the patch path (not its full-recompute
-/// fallback) is what gets exercised.
-struct PatchFixture {
-  VersionPair v = VersionPair::Make(/*elements=*/120, /*units=*/200);
-  Annotations base_ann = v.Annotate(v.base);
-  Annotations next_ann = base_ann;
-  EdgeMetrics base_metrics, next_metrics;
-
-  PatchFixture() {
-    next_ann.set_card(static_cast<ElementId>(v.base.schema().size() - 1),
-                      base_ann.card(static_cast<ElementId>(
-                          v.base.schema().size() - 1)) +
-                          17);
-    base_metrics = EdgeMetrics::Compute(v.base.schema(), base_ann);
-    next_metrics = EdgeMetrics::Compute(v.base.schema(), next_ann);
-  }
-};
-
-TEST(MatrixPatchTest, AffinityPatchIsBitIdenticalToRecompute) {
-  PatchFixture f;
-  const std::vector<ElementId> dirty = DirtyMetricElements(
-      f.base_ann, f.base_metrics, f.next_ann, f.next_metrics);
-  ASSERT_FALSE(dirty.empty());
-  for (uint32_t max_steps : {2u, 4u}) {
-    AffinityOptions options;
-    options.max_steps = max_steps;
-    auto base = AffinityMatrix::TryCompute(f.v.base.schema(), f.base_metrics,
-                                           options);
-    auto full = AffinityMatrix::TryCompute(f.v.base.schema(), f.next_metrics,
-                                           options);
-    ASSERT_TRUE(base.ok() && full.ok());
-    MatrixPatchStats stats;
-    auto patched = AffinityMatrix::TryPatch(f.v.base.schema(), f.next_metrics,
-                                            *base, dirty, options, {}, {},
-                                            &stats);
-    ASSERT_TRUE(patched.ok()) << patched.status().ToString();
-    EXPECT_EQ(0, std::memcmp(patched->matrix().data().data(),
-                             full->matrix().data().data(),
-                             full->matrix().data().size() * sizeof(double)))
-        << "max_steps=" << max_steps;
-    EXPECT_TRUE(stats.patched) << "max_steps=" << max_steps
-                               << " dirty_rows=" << stats.dirty_rows;
-    EXPECT_LT(stats.dirty_rows, stats.total_rows);
-  }
-}
-
-TEST(MatrixPatchTest, CoveragePatchIsBitIdenticalToRecompute) {
-  PatchFixture f;
-  const std::vector<ElementId> dirty = DirtyMetricElements(
-      f.base_ann, f.base_metrics, f.next_ann, f.next_metrics);
-  ASSERT_FALSE(dirty.empty());
-  for (uint32_t max_steps : {2u, 4u}) {
-    CoverageOptions options;
-    options.max_steps = max_steps;
-    auto base = CoverageMatrix::TryCompute(f.v.base.schema(), f.base_ann,
-                                           f.base_metrics, options);
-    auto full = CoverageMatrix::TryCompute(f.v.base.schema(), f.next_ann,
-                                           f.next_metrics, options);
-    ASSERT_TRUE(base.ok() && full.ok());
-    MatrixPatchStats stats;
-    auto patched = CoverageMatrix::TryPatch(f.v.base.schema(), f.next_ann,
-                                            f.next_metrics, *base, dirty,
-                                            options, {}, {}, &stats);
-    ASSERT_TRUE(patched.ok()) << patched.status().ToString();
-    EXPECT_EQ(0, std::memcmp(patched->matrix().data().data(),
-                             full->matrix().data().data(),
-                             full->matrix().data().size() * sizeof(double)))
-        << "max_steps=" << max_steps;
-    EXPECT_TRUE(stats.patched) << "max_steps=" << max_steps;
-  }
-}
-
-TEST(MatrixPatchTest, DirtyFractionFallbackStillMatchesRecompute) {
-  PatchFixture f;
-  const std::vector<ElementId> dirty = DirtyMetricElements(
-      f.base_ann, f.base_metrics, f.next_ann, f.next_metrics);
-  AffinityOptions options;
-  options.max_steps = 4;
-  auto base =
-      AffinityMatrix::TryCompute(f.v.base.schema(), f.base_metrics, options);
-  auto full =
-      AffinityMatrix::TryCompute(f.v.base.schema(), f.next_metrics, options);
-  ASSERT_TRUE(base.ok() && full.ok());
-  MatrixPatchOptions patch;
-  patch.max_dirty_fraction = 0.0;  // force the fallback
-  MatrixPatchStats stats;
-  auto patched = AffinityMatrix::TryPatch(f.v.base.schema(), f.next_metrics,
-                                          *base, dirty, options, {}, patch,
-                                          &stats);
-  ASSERT_TRUE(patched.ok());
-  EXPECT_FALSE(stats.patched);
-  EXPECT_EQ(0, std::memcmp(patched->matrix().data().data(),
-                           full->matrix().data().data(),
-                           full->matrix().data().size() * sizeof(double)));
-}
-
-TEST(MatrixPatchTest, WrongOrderBaseFails) {
-  PatchFixture f;
-  AffinityMatrix tiny = AffinityMatrix::FromMatrix(SquareMatrix(3, 0.0));
-  auto patched = AffinityMatrix::TryPatch(f.v.base.schema(), f.next_metrics,
-                                          tiny, {});
-  EXPECT_TRUE(patched.status().IsFailedPrecondition());
-}
-
-// ---------------------------------------------------------------------------
 // Incremental summarizer context
 // ---------------------------------------------------------------------------
 
@@ -331,13 +222,18 @@ TEST(IncrementalContextTest, MatchesColdContextAtEveryThreadCount) {
   VersionPair v = VersionPair::Make();
   Annotations base_ann = v.Annotate(v.base);
   Annotations next_ann = v.Annotate(v.next);
+  auto dirty = DirtyUnitsBetween(v.base_spec, v.next_spec);
+  ASSERT_TRUE(dirty.ok());
   for (uint32_t threads : {1u, 8u}) {
     SummarizeOptions options;
     options.parallel.threads = threads;
-    auto base_ctx =
-        SummarizerContext::Make(v.base.schema(), base_ann, options);
-    ASSERT_TRUE(base_ctx.ok());
-    auto inc = SummarizerContext::MakeIncremental(*base_ctx, next_ann);
+    DeltaAnnotateOptions delta_options;
+    delta_options.parallel.threads = threads;
+    auto delta_ann = DeltaAnnotate(*v.base.MakeShardedSource(),
+                                   *v.next.MakeShardedSource(), base_ann,
+                                   *dirty, delta_options);
+    ASSERT_TRUE(delta_ann.ok()) << delta_ann.status().ToString();
+    auto inc = SummarizerContext::Make(v.next.schema(), *delta_ann, options);
     ASSERT_TRUE(inc.ok()) << inc.status().ToString();
     auto cold = SummarizerContext::Make(v.next.schema(), next_ann, options);
     ASSERT_TRUE(cold.ok());
@@ -365,6 +261,8 @@ TEST(IncrementalContextTest, WrongShapeAnnotationsFail) {
   auto base_ctx = SummarizerContext::Make(v.base.schema(), base_ann);
   ASSERT_TRUE(base_ctx.ok());
   Annotations foreign;  // empty shape
+  auto cold = SummarizerContext::Make(v.base.schema(), foreign);
+  EXPECT_TRUE(cold.status().IsFailedPrecondition()) << cold.status().ToString();
   auto inc = SummarizerContext::MakeIncremental(*base_ctx, foreign);
   EXPECT_TRUE(inc.status().IsFailedPrecondition());
 }

@@ -45,7 +45,7 @@ struct Fixture {
 TEST(DominanceTest, AncestorDominatesTightlyCoupledLeaf) {
   Fixture f;
   EdgeMetrics metrics = EdgeMetrics::Compute(f.schema, f.ann);
-  CoverageMatrix cov = CoverageMatrix::Compute(f.schema, f.ann, metrics);
+  auto cov = CoverageMatrix::TryCompute(f.schema, f.ann, metrics).ValueOrDie();
   // @category's coverage profile is a strict subset of interest's:
   // every element @category covers well is covered at least as well by
   // interest, so interest dominates it (Theorem 1).
@@ -60,7 +60,7 @@ TEST(DominanceTest, ReplacementNeverLowersCoverage) {
   // dominated element, swapping in the dominator keeps or raises summary
   // coverage. Verified over all singleton summaries.
   Fixture f;
-  SummarizerContext context(f.schema, f.ann);
+  auto context = SummarizerContext::Make(f.schema, f.ann).ValueOrDie();
   const CoverageMatrix& cov = context.coverage();
   for (ElementId e1 = 1; e1 < f.schema.size(); ++e1) {
     for (ElementId e2 = 1; e2 < f.schema.size(); ++e2) {
@@ -95,7 +95,7 @@ TEST(DominanceTest, ExtendedAncestorsFollowRefereeLinks) {
 TEST(DominanceTest, ComputeDominanceProducesConsistentSets) {
   Fixture f;
   EdgeMetrics metrics = EdgeMetrics::Compute(f.schema, f.ann);
-  CoverageMatrix cov = CoverageMatrix::Compute(f.schema, f.ann, metrics);
+  auto cov = CoverageMatrix::TryCompute(f.schema, f.ann, metrics).ValueOrDie();
   DominanceResult result = ComputeDominance(f.schema, f.ann, cov);
   // Flags match pairs.
   std::vector<bool> expect(f.schema.size(), false);
@@ -124,7 +124,7 @@ TEST(DominanceTest, CyclicValueLinksTerminate) {
   EXPECT_LE(anc.size(), schema.size());
   Annotations ann = Annotations::Uniform(schema);
   EdgeMetrics metrics = EdgeMetrics::Compute(schema, ann);
-  CoverageMatrix cov = CoverageMatrix::Compute(schema, ann, metrics);
+  auto cov = CoverageMatrix::TryCompute(schema, ann, metrics).ValueOrDie();
   DominanceResult result = ComputeDominance(schema, ann, cov);
   (void)result;  // must terminate
 }

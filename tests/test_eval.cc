@@ -95,7 +95,8 @@ TEST(ExperimentTest, RowsOnScaledDownDatasets) {
 TEST(ExperimentTest, EvaluateSummaryRejectsForeignSchema) {
   auto b1 = LoadDataset(DatasetKind::kXMark, 0.01);
   ASSERT_TRUE(b1.ok());
-  SummarizerContext context(b1->schema, b1->annotations);
+  auto context =
+      SummarizerContext::Make(b1->schema, b1->annotations).ValueOrDie();
   auto summary = Summarize(context, 5);
   ASSERT_TRUE(summary.ok());
   auto cost = EvaluateSummaryCost(*b1, *summary);

@@ -24,7 +24,7 @@ struct Fixture {
   Fixture()
       : ds(Small()),
         ann(*AnnotateSchema(*ds.MakeStream())),
-        context(ds.schema(), ann) {}
+        context(SummarizerContext::Make(ds.schema(), ann).ValueOrDie()) {}
 
   static MimiParams Small() {
     MimiParams p;

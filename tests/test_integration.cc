@@ -34,7 +34,8 @@ TEST_P(HeadlineTest, EveryQueryCompletesUnderEveryStrategy) {
   auto bundle = LoadDataset(GetParam(), 0.05);
   ASSERT_TRUE(bundle.ok());
   DiscoveryOracle oracle(bundle->schema);
-  SummarizerContext context(bundle->schema, bundle->annotations);
+  auto context =
+      SummarizerContext::Make(bundle->schema, bundle->annotations).ValueOrDie();
   auto summary = Summarize(context, bundle->paper_summary_size);
   ASSERT_TRUE(summary.ok());
   for (const QueryIntention& q : bundle->workload.queries) {
@@ -53,7 +54,8 @@ TEST_P(HeadlineTest, EveryQueryCompletesUnderEveryStrategy) {
 TEST_P(HeadlineTest, SummariesAreValidAndImportanceConserved) {
   auto bundle = LoadDataset(GetParam(), 0.05);
   ASSERT_TRUE(bundle.ok());
-  SummarizerContext context(bundle->schema, bundle->annotations);
+  auto context =
+      SummarizerContext::Make(bundle->schema, bundle->annotations).ValueOrDie();
   for (Algorithm alg : {Algorithm::kMaxImportance, Algorithm::kMaxCoverage,
                         Algorithm::kBalanceSummary}) {
     auto summary = Summarize(context, bundle->paper_summary_size, alg);

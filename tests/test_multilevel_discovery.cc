@@ -63,7 +63,7 @@ TEST(MultiLevelDiscoveryTest, SingleLevelMatchesFlatSummary) {
   // With one level, multi-level discovery must coincide with the flat
   // summary-based discovery over the same selection.
   Fixture f;
-  SummarizerContext context(f.ds.schema(), f.ann);
+  auto context = SummarizerContext::Make(f.ds.schema(), f.ann).ValueOrDie();
   auto summary = Summarize(context, 16);
   ASSERT_TRUE(summary.ok());
   SummaryLevel level;

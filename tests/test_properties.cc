@@ -99,7 +99,7 @@ TEST_P(PropertyTest, SchemaIoRoundTripsRandomSchemas) {
 TEST_P(PropertyTest, AffinityWithinBoundsAndSelfUnit) {
   RandomWorld w(GetParam());
   EdgeMetrics metrics = EdgeMetrics::Compute(w.schema, w.ann);
-  AffinityMatrix aff = AffinityMatrix::Compute(w.schema, metrics);
+  auto aff = AffinityMatrix::TryCompute(w.schema, metrics).ValueOrDie();
   for (ElementId a = 0; a < w.schema.size(); ++a) {
     EXPECT_DOUBLE_EQ(aff.At(a, a), 1.0);
     for (ElementId b = 0; b < w.schema.size(); ++b) {
@@ -112,7 +112,7 @@ TEST_P(PropertyTest, AffinityWithinBoundsAndSelfUnit) {
 TEST_P(PropertyTest, CoverageNeverExceedsTargetCardinality) {
   RandomWorld w(GetParam());
   EdgeMetrics metrics = EdgeMetrics::Compute(w.schema, w.ann);
-  CoverageMatrix cov = CoverageMatrix::Compute(w.schema, w.ann, metrics);
+  auto cov = CoverageMatrix::TryCompute(w.schema, w.ann, metrics).ValueOrDie();
   for (ElementId a = 0; a < w.schema.size(); ++a) {
     for (ElementId b = 0; b < w.schema.size(); ++b) {
       EXPECT_GE(cov.At(a, b), 0.0);
@@ -139,7 +139,7 @@ TEST_P(PropertyTest, SummaryCoverageRatioInUnitInterval) {
   RandomWorld w(GetParam());
   size_t k = std::min<size_t>(4, w.schema.size() - 2);
   if (k == 0) return;
-  SummarizerContext context(w.schema, w.ann);
+  auto context = SummarizerContext::Make(w.schema, w.ann).ValueOrDie();
   auto summary = Summarize(context, k);
   ASSERT_TRUE(summary.ok());
   double ratio =
@@ -196,7 +196,7 @@ TEST_P(PropertyTest, CollapsedSummaryStaysConsistent) {
 
 TEST_P(PropertyTest, DominanceAgreesWithCoverageSwap) {
   RandomWorld w(GetParam());
-  SummarizerContext context(w.schema, w.ann);
+  auto context = SummarizerContext::Make(w.schema, w.ann).ValueOrDie();
   for (const DominancePair& p : context.dominance().pairs) {
     double dominated_cov = CoverageOfSet(w.schema, context.affinity(),
                                          context.coverage(), {p.dominated});

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
 
 #include "common/config.h"
@@ -138,6 +139,25 @@ TEST(ScenarioSpecTest, CanonicalSerializationRoundTrips) {
   EXPECT_EQ(SerializeScenarioSpec(*reparsed), text);
   EXPECT_EQ(reparsed->name, "small");
   EXPECT_EQ(reparsed->unit_skew, "zipf");
+}
+
+TEST(ScenarioSpecTest, SeedsRoundTripOverTheFullUint64Range) {
+  for (uint64_t seed : {uint64_t{17047933420626727101u}, UINT64_MAX}) {
+    ScenarioSpec spec = SmallSpec();
+    spec.seed = seed;
+    spec.mutate_seed = seed;
+    const std::string text = SerializeScenarioSpec(spec);
+    auto reparsed = ParseScenarioSpecText(text, "<canonical>");
+    ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString();
+    EXPECT_EQ(reparsed->seed, seed);
+    EXPECT_EQ(reparsed->mutate_seed, seed);
+    EXPECT_EQ(SerializeScenarioSpec(*reparsed), text);
+  }
+  for (const char* bad : {"-1", "18446744073709551616"}) {
+    auto spec = ParseScenarioSpecText(
+        std::string("mutate.seed: ") + bad + "\n", "t");
+    EXPECT_TRUE(spec.status().IsInvalidArgument()) << bad;
+  }
 }
 
 TEST(ScenarioSpecTest, FingerprintStableAcrossRunsSensitiveToKnobs) {

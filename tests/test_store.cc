@@ -220,7 +220,7 @@ TEST(CodecTest, SquareMatrixOrderMismatchIsFailedPrecondition) {
 TEST(CodecTest, SummaryRoundTrip) {
   Fixture f;
   Annotations ann = f.MakeAnnotations();
-  SummarizerContext context(f.schema, ann);
+  auto context = SummarizerContext::Make(f.schema, ann).ValueOrDie();
   auto summary = Summarize(context, 3);
   ASSERT_TRUE(summary.ok()) << summary.status().ToString();
   std::string bytes = EncodeSummary(*summary);
@@ -234,7 +234,7 @@ TEST(CodecTest, SummaryRoundTrip) {
 TEST(CodecTest, SummaryForWrongSchemaFailsGracefully) {
   Fixture f;
   Annotations ann = f.MakeAnnotations();
-  SummarizerContext context(f.schema, ann);
+  auto context = SummarizerContext::Make(f.schema, ann).ValueOrDie();
   auto summary = Summarize(context, 3);
   ASSERT_TRUE(summary.ok());
   std::string bytes = EncodeSummary(*summary);
@@ -282,7 +282,7 @@ TEST(CodecTest, MatrixSurvivesArbitraryCorruption) {
 TEST(CodecTest, SummarySurvivesArbitraryCorruption) {
   Fixture f;
   Annotations ann = f.MakeAnnotations();
-  SummarizerContext context(f.schema, ann);
+  auto context = SummarizerContext::Make(f.schema, ann).ValueOrDie();
   auto summary = Summarize(context, 3);
   ASSERT_TRUE(summary.ok());
   std::string good = EncodeSummary(*summary);

@@ -48,7 +48,7 @@ struct Fixture {
 
 TEST(SummarizeTest, MaxImportancePicksTopK) {
   Fixture f;
-  SummarizerContext context(f.schema, f.ann);
+  auto context = SummarizerContext::Make(f.schema, f.ann).ValueOrDie();
   auto selected = SelectMaxImportance(context, 2);
   ASSERT_TRUE(selected.ok());
   EXPECT_EQ(selected->size(), 2u);
@@ -68,7 +68,7 @@ TEST(SummarizeTest, MaxImportancePicksTopK) {
 
 TEST(SummarizeTest, SizeValidation) {
   Fixture f;
-  SummarizerContext context(f.schema, f.ann);
+  auto context = SummarizerContext::Make(f.schema, f.ann).ValueOrDie();
   EXPECT_FALSE(SelectMaxImportance(context, 0).ok());
   EXPECT_FALSE(SelectMaxImportance(context, f.schema.size()).ok());
   EXPECT_FALSE(SelectMaxCoverage(context, 0).ok());
@@ -83,7 +83,7 @@ TEST(SummarizeTest, MaxCoverageTopsUpWhenCandidatesDoNotReachK) {
   for (SummaryMode mode : {SummaryMode::kExact, SummaryMode::kApprox}) {
     SummarizeOptions opts;
     opts.mode = mode;
-    SummarizerContext context(f.schema, f.ann, opts);
+    auto context = SummarizerContext::Make(f.schema, f.ann, opts).ValueOrDie();
     ASSERT_LT(context.dominance().candidates.size(), 6u);
     auto selected = SelectMaxCoverage(context, 6);
     ASSERT_TRUE(selected.ok()) << SummaryModeName(mode);
@@ -100,13 +100,15 @@ TEST(SummarizeTest, ExactMaxCoverageBeatsOrMatchesGreedy) {
   Fixture f;
   SummarizeOptions exact_opts;
   exact_opts.max_coverage_enumeration_budget = 1000000;
-  SummarizerContext exact_ctx(f.schema, f.ann, exact_opts);
+  auto exact_ctx =
+      SummarizerContext::Make(f.schema, f.ann, exact_opts).ValueOrDie();
   auto exact = SelectMaxCoverage(exact_ctx, 2);
   ASSERT_TRUE(exact.ok());
 
   SummarizeOptions greedy_opts;
   greedy_opts.max_coverage_enumeration_budget = 0;  // force greedy
-  SummarizerContext greedy_ctx(f.schema, f.ann, greedy_opts);
+  auto greedy_ctx =
+      SummarizerContext::Make(f.schema, f.ann, greedy_opts).ValueOrDie();
   auto greedy = SelectMaxCoverage(greedy_ctx, 2);
   ASSERT_TRUE(greedy.ok());
 
@@ -119,7 +121,7 @@ TEST(SummarizeTest, ExactMaxCoverageBeatsOrMatchesGreedy) {
 
 TEST(SummarizeTest, MaxCoverageAvoidsDominatedElements) {
   Fixture f;
-  SummarizerContext context(f.schema, f.ann);
+  auto context = SummarizerContext::Make(f.schema, f.ann).ValueOrDie();
   auto selected = SelectMaxCoverage(context, 2);
   ASSERT_TRUE(selected.ok());
   const auto& dominated = context.dominance().dominated;
@@ -132,7 +134,7 @@ TEST(SummarizeTest, MaxCoverageAvoidsDominatedElements) {
 
 TEST(SummarizeTest, BalancedSkipsDominatedDuplicates) {
   Fixture f;
-  SummarizerContext context(f.schema, f.ann);
+  auto context = SummarizerContext::Make(f.schema, f.ann).ValueOrDie();
   auto selected = SelectBalanced(context, 3);
   ASSERT_TRUE(selected.ok());
   EXPECT_EQ(selected->size(), 3u);
@@ -187,12 +189,15 @@ TEST_P(SummarizeParallelTest, ExactMaxCoverageSetIsThreadCountInvariant) {
 
   SummarizeOptions serial_opts;
   serial_opts.parallel.threads = 1;
-  SummarizerContext serial_ctx(bundle->schema, bundle->annotations,
-                               serial_opts);
+  auto serial_ctx = SummarizerContext::Make(bundle->schema, bundle->annotations,
+                                            serial_opts)
+                        .ValueOrDie();
   SummarizeOptions parallel_opts;
   parallel_opts.parallel.threads = 8;
-  SummarizerContext parallel_ctx(bundle->schema, bundle->annotations,
-                                 parallel_opts);
+  auto parallel_ctx = SummarizerContext::Make(bundle->schema,
+                                              bundle->annotations,
+                                              parallel_opts)
+                          .ValueOrDie();
 
   for (size_t k : {2u, 3u, 5u}) {
     auto serial = SelectMaxCoverage(serial_ctx, k);
@@ -236,7 +241,7 @@ INSTANTIATE_TEST_SUITE_P(Datasets, SummarizeParallelTest,
 
 TEST(SummarizeTest, ImportanceRatioGrowsWithK) {
   Fixture f;
-  SummarizerContext context(f.schema, f.ann);
+  auto context = SummarizerContext::Make(f.schema, f.ann).ValueOrDie();
   double prev = 0;
   for (size_t k = 1; k <= 4; ++k) {
     auto summary = Summarize(context, k, Algorithm::kMaxImportance);

@@ -57,7 +57,7 @@ struct Fixture {
 
 TEST(SummaryTest, BuildAssignsEveryElement) {
   Fixture f;
-  SummarizerContext context(f.schema, f.ann);
+  auto context = SummarizerContext::Make(f.schema, f.ann).ValueOrDie();
   auto summary = BuildSummary(f.schema, context.affinity(), context.coverage(),
                               {f.auction, f.person});
   ASSERT_TRUE(summary.ok()) << summary.status().ToString();
@@ -88,7 +88,7 @@ TEST(SummaryTest, BuildAssignsEveryElement) {
 
 TEST(SummaryTest, AbstractLinksConsolidateCrossingEdges) {
   Fixture f;
-  SummarizerContext context(f.schema, f.ann);
+  auto context = SummarizerContext::Make(f.schema, f.ann).ValueOrDie();
   SchemaSummary summary = *BuildSummary(f.schema, context.affinity(),
                                         context.coverage(),
                                         {f.auction, f.person});
@@ -109,7 +109,7 @@ TEST(SummaryTest, AbstractLinksConsolidateCrossingEdges) {
 
 TEST(SummaryTest, ValueLinksSurfaceAsDashedAbstractLinks) {
   Fixture f;
-  SummarizerContext context(f.schema, f.ann);
+  auto context = SummarizerContext::Make(f.schema, f.ann).ValueOrDie();
   // Select auction and address: bidder joins the auction group, person the
   // address group, so the bidder->person value link crosses.
   SchemaSummary summary = *BuildSummary(f.schema, context.affinity(),
@@ -128,7 +128,7 @@ TEST(SummaryTest, ValueLinksSurfaceAsDashedAbstractLinks) {
 
 TEST(SummaryTest, RejectsBadSelections) {
   Fixture f;
-  SummarizerContext context(f.schema, f.ann);
+  auto context = SummarizerContext::Make(f.schema, f.ann).ValueOrDie();
   const auto& aff = context.affinity();
   const auto& cov = context.coverage();
   EXPECT_FALSE(BuildSummary(f.schema, aff, cov, {}).ok());
@@ -139,7 +139,7 @@ TEST(SummaryTest, RejectsBadSelections) {
 
 TEST(SummaryTest, ValidateCatchesCorruption) {
   Fixture f;
-  SummarizerContext context(f.schema, f.ann);
+  auto context = SummarizerContext::Make(f.schema, f.ann).ValueOrDie();
   SchemaSummary summary = *BuildSummary(f.schema, context.affinity(),
                                         context.coverage(),
                                         {f.auction, f.person});
@@ -188,7 +188,7 @@ TEST(SummaryTest, BuildFromAssignmentRejectsInconsistency) {
 
 TEST(MetricsTest, ImportanceRatioMatchesDefinition) {
   Fixture f;
-  SummarizerContext context(f.schema, f.ann);
+  auto context = SummarizerContext::Make(f.schema, f.ann).ValueOrDie();
   SchemaSummary summary = *BuildSummary(f.schema, context.affinity(),
                                         context.coverage(),
                                         {f.auction, f.person});
@@ -202,7 +202,7 @@ TEST(MetricsTest, ImportanceRatioMatchesDefinition) {
 
 TEST(MetricsTest, CoverageRatioBounds) {
   Fixture f;
-  SummarizerContext context(f.schema, f.ann);
+  auto context = SummarizerContext::Make(f.schema, f.ann).ValueOrDie();
   SchemaSummary summary = *BuildSummary(f.schema, context.affinity(),
                                         context.coverage(),
                                         {f.auction, f.person});
@@ -214,7 +214,7 @@ TEST(MetricsTest, CoverageRatioBounds) {
 
 TEST(MetricsTest, MoreElementsMoreImportance) {
   Fixture f;
-  SummarizerContext context(f.schema, f.ann);
+  auto context = SummarizerContext::Make(f.schema, f.ann).ValueOrDie();
   SchemaSummary small = *BuildSummary(f.schema, context.affinity(),
                                       context.coverage(), {f.person});
   SchemaSummary large = *BuildSummary(f.schema, context.affinity(),

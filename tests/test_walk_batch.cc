@@ -92,13 +92,12 @@ TEST(WalkBatchTest, AffinityMatrixIsThreadCountInvariant) {
     const EdgeMetrics metrics = EdgeMetrics::Compute(s.schema, s.ann);
     ParallelOptions t1;
     t1.threads = 1;
-    const AffinityMatrix ref = AffinityMatrix::Compute(s.schema, metrics, {}, t1);
+    const auto ref = AffinityMatrix::TryCompute(s.schema, metrics, {}, t1);
     for (uint32_t threads : {2u, 8u}) {
       ParallelOptions tn;
       tn.threads = threads;
-      const AffinityMatrix got =
-          AffinityMatrix::Compute(s.schema, metrics, {}, tn);
-      EXPECT_TRUE(SameBytes(got.matrix().data(), ref.matrix().data()))
+      const auto got = AffinityMatrix::TryCompute(s.schema, metrics, {}, tn);
+      EXPECT_TRUE(SameBytes(got->matrix().data(), ref->matrix().data()))
           << s.name << " at " << threads << " threads";
     }
   }
@@ -109,14 +108,14 @@ TEST(WalkBatchTest, CoverageMatrixIsThreadCountInvariant) {
     const EdgeMetrics metrics = EdgeMetrics::Compute(s.schema, s.ann);
     ParallelOptions t1;
     t1.threads = 1;
-    const CoverageMatrix ref =
-        CoverageMatrix::Compute(s.schema, s.ann, metrics, {}, t1);
+    const auto ref =
+        CoverageMatrix::TryCompute(s.schema, s.ann, metrics, {}, t1);
     for (uint32_t threads : {2u, 8u}) {
       ParallelOptions tn;
       tn.threads = threads;
-      const CoverageMatrix got =
-          CoverageMatrix::Compute(s.schema, s.ann, metrics, {}, tn);
-      EXPECT_TRUE(SameBytes(got.matrix().data(), ref.matrix().data()))
+      const auto got =
+          CoverageMatrix::TryCompute(s.schema, s.ann, metrics, {}, tn);
+      EXPECT_TRUE(SameBytes(got->matrix().data(), ref->matrix().data()))
           << s.name << " at " << threads << " threads";
     }
   }

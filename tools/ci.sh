@@ -44,6 +44,10 @@
 #          serve-latency/QPS + incremental-delta gates; the checked-in
 #          BENCH_*.json are NOT updated). SSUM_NATIVE=ON builds the tree
 #          with -march=native (the CI native bench leg)
+#   perfbench  build-only check of the end-to-end benchmark: configures
+#          perfbench/ (which compiles the library sources itself) in
+#          Release into its own tree and compiles it, without running it,
+#          so a library API change that breaks the benchmark fails here
 #   all    every stage above, in that order
 #
 # The toolchain comes from $CC/$CXX (default gcc). Non-default toolchains
@@ -362,6 +366,14 @@ stage_bench() {
   "$bench_build/bench/delta_scaling" --gate-only
 }
 
+stage_perfbench() {
+  echo "== [$TOOLCHAIN] perfbench build (Release; not run) =="
+  local perf_build="$BUILD-perfbench"
+  cmake -B "$perf_build" -S "$ROOT/perfbench" "${CMAKE_FLAGS[@]}" \
+    -DCMAKE_BUILD_TYPE=Release >/dev/null
+  cmake --build "$perf_build" --target perfbench -j "$JOBS"
+}
+
 case "$STAGE" in
   build) stage_build ;;
   tsan)  stage_tsan ;;
@@ -372,6 +384,7 @@ case "$STAGE" in
   serve) stage_serve ;;
   scenarios) stage_scenarios ;;
   bench) stage_bench ;;
+  perfbench) stage_perfbench ;;
   all)
     stage_build
     echo
@@ -388,9 +401,11 @@ case "$STAGE" in
     stage_scenarios
     echo
     stage_bench
+    echo
+    stage_perfbench
     ;;
   *)
-    echo "usage: tools/ci.sh [build|tsan|asan|fuzz|cache|faults|serve|scenarios|bench|all] [jobs]" >&2
+    echo "usage: tools/ci.sh [build|tsan|asan|fuzz|cache|faults|serve|scenarios|bench|perfbench|all] [jobs]" >&2
     exit 2
     ;;
 esac

@@ -385,10 +385,11 @@ int EmitSummary(const SchemaGraph& schema, const SchemaSummary& summary,
 }
 
 /// `ssum summarize <next.scn> --base <base.scn>`: the incremental pipeline —
-/// delta-annotate the changed units, patch the matrices from the base
-/// version's, record the annotation delta as a cache lineage link. Every
-/// step that cannot run (schema changed, no usable base) degrades to the
-/// cold equivalent; the summary is bit-identical either way.
+/// delta-annotate the changed units and record the annotation delta as a
+/// cache lineage link; the matrices are then built (or loaded) for the new
+/// statistics. Delta annotation degrades to a cold annotation when it cannot
+/// run (schema changed, no usable base); the summary is bit-identical either
+/// way.
 int CmdSummarizeIncremental(const Args& args) {
   if (args.positional.empty() || args.Get("-k") == nullptr) return Usage();
   auto base_spec = LoadScenarioSpecFile(*args.Get("--base"), g_limits);
@@ -430,34 +431,9 @@ int CmdSummarizeIncremental(const Args& args) {
     std::fprintf(stderr, "ssum: cold annotation fallback: %s\n",
                  delta->fallback_reason.c_str());
   }
-  std::optional<SummarizerContext> context;
-  if (delta->incremental) {
-    auto base_ctx = SummarizerContext::Make(
-        base_ds->schema(), delta->base_annotations, options, cache);
-    if (base_ctx.ok()) {
-      MatrixPatchStats affinity_stats, coverage_stats;
-      auto patched = SummarizerContext::MakeIncremental(
-          *base_ctx, delta->annotations, cache, MatrixPatchOptions{},
-          &affinity_stats, &coverage_stats);
-      if (patched.ok()) {
-        std::fprintf(
-            stderr,
-            "ssum: matrix patch: affinity %zu/%zu rows%s, coverage "
-            "%zu/%zu rows%s\n",
-            affinity_stats.dirty_rows, affinity_stats.total_rows,
-            affinity_stats.patched ? "" : " (full recompute)",
-            coverage_stats.dirty_rows, coverage_stats.total_rows,
-            coverage_stats.patched ? "" : " (full recompute)");
-        context.emplace(std::move(*patched));
-      }
-    }
-  }
-  if (!context.has_value()) {
-    auto cold = SummarizerContext::Make(next_ds->schema(), delta->annotations,
-                                        options, cache);
-    if (!cold.ok()) return Fail(cold.status());
-    context.emplace(std::move(*cold));
-  }
+  auto context = SummarizerContext::Make(next_ds->schema(), delta->annotations,
+                                         options, cache);
+  if (!context.ok()) return Fail(context.status());
   auto summary = Summarize(*context, static_cast<size_t>(*k), alg);
   if (!summary.ok()) return Fail(summary.status());
   return EmitSummary(next_ds->schema(), *summary, alg, args);
