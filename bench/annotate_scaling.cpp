@@ -4,10 +4,10 @@
 // be exactly equal (every cardinality, structural and value counter) to the
 // serial result for every thread count. A violated gate fails the run.
 //
-//   annotate_scaling [--json <path>] [--gate-only] [--threads N]
+//   annotate_scaling [--json <path> | --gate-only] [--threads N]
 //
 // --json writes the machine-readable trajectory record consumed by
-// bench/run_bench.sh (checked in as BENCH_annotate.json at the repo root).
+// bench/run_bench.sh (checked in as bench/BENCH_annotate.json).
 // --gate-only runs the determinism gate plus two regression gates without
 // writing JSON (the CI bench-sanity stage):
 //   - no sharded configuration slower than 1.5x the serial walk;
@@ -15,46 +15,27 @@
 //     on XMark sf 0.25 (on smaller hosts the speedup is recorded, not
 //     enforced — a 1-core runner cannot exhibit parallel speedup).
 
-#include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "common/buildinfo.h"
-#include "common/parallel.h"
+#include "bench_util.h"
 #include "datasets/xmark.h"
 #include "stats/annotate.h"
 
 namespace {
 
 using namespace ssum;
+using namespace ssum::bench;
 
 constexpr uint32_t kThreadCounts[] = {1, 2, 4, 8};
-constexpr double kTargetMs = 60.0;  // per measurement, keeps the bench quick
+// One calibrated batch of about kTargetMs per measurement keeps the bench
+// quick.
+constexpr double kTargetMs = 60.0;
+constexpr int kBatches = 1;
 constexpr double kMaxSlowdown = 1.5;
 constexpr double kRequiredSpeedupAt8 = 3.0;
-
-template <typename Fn>
-double TimeMs(const Fn& fn) {
-  using clock = std::chrono::steady_clock;
-  // Calibrate the repetition count from one warm-up run.
-  auto t0 = clock::now();
-  fn();
-  double once =
-      std::chrono::duration<double, std::milli>(clock::now() - t0).count();
-  int reps = 1;
-  if (once < kTargetMs) {
-    reps = static_cast<int>(kTargetMs / (once > 1e-3 ? once : 1e-3)) + 1;
-    if (reps > 10000) reps = 10000;
-  }
-  t0 = clock::now();
-  for (int i = 0; i < reps; ++i) fn();
-  double total =
-      std::chrono::duration<double, std::milli>(clock::now() - t0).count();
-  return total / reps;
-}
 
 struct ThreadPoint {
   uint32_t threads;
@@ -85,7 +66,7 @@ DatasetReport RunXmark(double sf, bool* deterministic_ok, bool* gates_ok) {
   report.units = source->NumUnits();
 
   const Annotations serial = *AnnotateSchema(*stream);
-  report.serial_ms = TimeMs([&] {
+  report.serial_ms = MinOfBatchesMs(kTargetMs, kBatches, [&] {
     Annotations a = *AnnotateSchema(*stream);
     (void)a;
   });
@@ -94,7 +75,7 @@ DatasetReport RunXmark(double sf, bool* deterministic_ok, bool* gates_ok) {
     ShardedAnnotateOptions opts;
     opts.parallel.threads = t;
     Annotations last(ds.schema());
-    report.points.push_back({t, TimeMs([&] {
+    report.points.push_back({t, MinOfBatchesMs(kTargetMs, kBatches, [&] {
       auto r = AnnotateSchemaSharded(*source, opts);
       if (r.ok()) last = std::move(*r);
     })});
@@ -138,71 +119,13 @@ void PrintReport(const DatasetReport& r) {
   std::printf("  %s\n", r.deterministic ? "deterministic" : "MISMATCH");
 }
 
-void WriteJson(const std::string& path,
-               const std::vector<DatasetReport>& reports, bool ok) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return;
-  }
-  out << "{\n"
-      << "  \"bench\": \"annotate_scaling\",\n"
-      << "  \"build_type\": \"" << BuildType() << "\",\n"
-      << "  \"hardware_threads\": " << HardwareThreadCount() << ",\n"
-      << "  \"deterministic\": " << (ok ? "true" : "false") << ",\n"
-      << "  \"datasets\": [\n";
-  for (size_t d = 0; d < reports.size(); ++d) {
-    const DatasetReport& r = reports[d];
-    char buf[160];
-    std::snprintf(buf, sizeof(buf),
-                  "    {\"name\": \"XMark\", \"sf\": %g, \"units\": %llu, "
-                  "\"serial_ms\": %.4f, \"deterministic\": %s,\n",
-                  r.sf, static_cast<unsigned long long>(r.units), r.serial_ms,
-                  r.deterministic ? "true" : "false");
-    out << buf << "     \"results\": [";
-    for (size_t p = 0; p < r.points.size(); ++p) {
-      const ThreadPoint& tp = r.points[p];
-      std::snprintf(buf, sizeof(buf),
-                    "{\"threads\": %u, \"ms\": %.4f, \"speedup\": %.3f}",
-                    tp.threads, tp.ms, r.Speedup(tp));
-      out << buf << (p + 1 < r.points.size() ? ", " : "");
-    }
-    out << "]}" << (d + 1 < reports.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-  std::fprintf(stderr, "JSON written to %s\n", path.c_str());
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  ssum::ConsumeThreadsFlag(&argc, argv);
-  std::string json_path;
-  bool gate_only = false;
-  for (int i = 1; i < argc; ++i) {
-    std::string a = argv[i];
-    if (a == "--json" && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (a.rfind("--json=", 0) == 0) {
-      json_path = a.substr(7);
-    } else if (a == "--gate-only") {
-      gate_only = true;
-    } else {
-      std::fprintf(stderr,
-                   "usage: annotate_scaling [--json <path>] [--gate-only]\n");
-      return 2;
-    }
-  }
-  if (!json_path.empty() && !gate_only && !ssum::IsReleaseBuild()) {
-    std::fprintf(stderr,
-                 "annotate_scaling: refusing to emit gated JSON from a '%s' "
-                 "build; configure with -DCMAKE_BUILD_TYPE=Release\n",
-                 ssum::BuildType());
-    return 2;
-  }
+  const BenchFlags flags = ParseBenchFlags(argc, argv, "annotate_scaling");
 
   std::printf("annotate scaling — %u hardware thread(s)\n\n",
-              ssum::HardwareThreadCount());
+              HardwareThreadCount());
   bool deterministic_ok = true;
   bool gates_ok = true;
   std::vector<DatasetReport> reports;
@@ -211,8 +134,27 @@ int main(int argc, char** argv) {
     PrintReport(reports.back());
     std::printf("\n");
   }
-  if (!json_path.empty() && !gate_only) {
-    WriteJson(json_path, reports, deterministic_ok);
+  if (!flags.json_path.empty()) {
+    JsonRecord rec("annotate_scaling");
+    rec.Field("deterministic", deterministic_ok).Open("datasets", '[');
+    for (const DatasetReport& r : reports) {
+      rec.Open("", '{')
+          .Field("name", "XMark")
+          .Field("sf", r.sf, 2)
+          .Field("units", r.units)
+          .Field("serial_ms", r.serial_ms)
+          .Field("deterministic", r.deterministic)
+          .Open("results", '[');
+      for (const ThreadPoint& tp : r.points) {
+        rec.Open("", '{')
+            .Field("threads", tp.threads)
+            .Field("ms", tp.ms)
+            .Field("speedup", r.Speedup(tp), 3)
+            .Close();
+      }
+      rec.Close().Close();
+    }
+    if (!rec.Write(flags.json_path)) return 1;
   }
   if (!deterministic_ok) {
     std::fprintf(stderr,

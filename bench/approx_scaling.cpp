@@ -3,7 +3,7 @@
 // paper datasets and on a 10k-element deterministic synthetic schema where
 // exact enumeration is infeasible.
 //
-//   approx_scaling [--json <path>] [--gate-only] [--threads N]
+//   approx_scaling [--json <path> | --gate-only] [--threads N]
 //
 // Gates (a violated gate fails the run):
 //   - determinism (hard, every build type): the approximate selection must
@@ -20,18 +20,15 @@
 //     checked-in BENCH_approx.json.
 //
 // --json writes the machine-readable trajectory record consumed by
-// bench/run_bench.sh (checked in as BENCH_approx.json at the repo root).
+// bench/run_bench.sh (checked in as bench/BENCH_approx.json).
 // --gate-only runs every gate without writing JSON (the CI bench stage).
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
-#include "common/buildinfo.h"
-#include "common/parallel.h"
+#include "bench_util.h"
 #include "core/approx_cover.h"
 #include "core/metrics.h"
 #include "core/summarize.h"
@@ -41,6 +38,7 @@
 namespace {
 
 using namespace ssum;
+using namespace ssum::bench;
 
 constexpr double kTargetMs = 25.0;  // per timing batch, keeps the bench quick
 constexpr int kBatches = 3;         // min-of-k batches rejects host noise
@@ -49,41 +47,6 @@ constexpr double kMinSyntheticSpeedup = 20.0;
 constexpr double kDefaultEpsilon = 0.1;
 constexpr size_t kSyntheticElements = 10000;
 constexpr size_t kSyntheticK = 8;
-
-template <typename Fn>
-double OnceMs(const Fn& fn) {
-  using clock = std::chrono::steady_clock;
-  const auto t0 = clock::now();
-  fn();
-  return std::chrono::duration<double, std::milli>(clock::now() - t0).count();
-}
-
-template <typename Fn>
-double TimeMs(const Fn& fn) {
-  const double once = OnceMs(fn);  // warm-up + calibration
-  int reps = 1;
-  if (once < kTargetMs) {
-    reps = static_cast<int>(kTargetMs / (once > 1e-3 ? once : 1e-3)) + 1;
-    if (reps > 10000) reps = 10000;
-  }
-  double best = 0.0;
-  for (int b = 0; b < kBatches; ++b) {
-    const double ms = OnceMs([&] {
-                        for (int i = 0; i < reps; ++i) fn();
-                      }) /
-                      reps;
-    if (b == 0 || ms < best) best = ms;
-  }
-  return best;
-}
-
-uint64_t Binomial(uint64_t n, uint64_t k) {
-  if (k > n) return 0;
-  k = std::min(k, n - k);
-  uint64_t r = 1;
-  for (uint64_t i = 1; i <= k; ++i) r = r * (n - k + i) / i;
-  return r;
-}
 
 /// Approximate selection through the low-level engine (the SelectMaxCoverage
 /// kApprox route minus the top-up, which never fires here: candidates > k).
@@ -137,14 +100,8 @@ DatasetReport RunDataset(const DatasetBundle& bundle, double scale,
                      .ValueOrDie();
   const size_t m = context.dominance().candidates.size();
   report.candidates = m;
-  // Largest k <= 8 whose full enumeration fits the budget, so "exact" below
-  // really is the Figure 6 enumeration.
-  size_t k = 0;
-  for (size_t cand_k = 2; cand_k <= 8 && cand_k < m; ++cand_k) {
-    if (Binomial(m, cand_k) <= base.max_coverage_enumeration_budget) {
-      k = cand_k;
-    }
-  }
+  const size_t k =
+      LargestEnumerableK(m, base.max_coverage_enumeration_budget);
   if (k < 2) {
     std::fprintf(stderr,
                  "  (skipping %s: %zu candidates leave no k with a "
@@ -190,12 +147,13 @@ DatasetReport RunDataset(const DatasetBundle& bundle, double scale,
         {eps, report.exact_cov > 0 ? cov / report.exact_cov : 1.0});
   }
 
-  report.exact_ms = TimeMs([&] {
+  report.exact_ms = MinOfBatchesMs(kTargetMs, kBatches, [&] {
     auto r = SelectMaxCoverage(context, k);
     (void)r;
   });
-  report.approx_ms =
-      TimeMs([&] { (void)ApproxSelect(context, k, kDefaultEpsilon, 1); });
+  report.approx_ms = MinOfBatchesMs(kTargetMs, kBatches, [&] {
+    (void)ApproxSelect(context, k, kDefaultEpsilon, 1);
+  });
   return report;
 }
 
@@ -256,8 +214,9 @@ SyntheticReport RunSynthetic(bool* deterministic_ok) {
   const std::vector<ElementId> approx =
       ApproxSelect(context, kSyntheticK, kDefaultEpsilon, 1);
   report.approx_cov = SetCoverage(context, approx);
-  report.approx_ms = TimeMs(
-      [&] { (void)ApproxSelect(context, kSyntheticK, kDefaultEpsilon, 1); });
+  report.approx_ms = MinOfBatchesMs(kTargetMs, kBatches, [&] {
+    (void)ApproxSelect(context, kSyntheticK, kDefaultEpsilon, 1);
+  });
 
   for (uint32_t t : {2u, 8u}) {
     if (ApproxSelect(context, kSyntheticK, kDefaultEpsilon, t) != approx) {
@@ -272,96 +231,10 @@ SyntheticReport RunSynthetic(bool* deterministic_ok) {
   return report;
 }
 
-void WriteJson(const std::string& path,
-               const std::vector<DatasetReport>& reports,
-               const SyntheticReport& synth, bool deterministic,
-               double min_quality) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return;
-  }
-  out << "{\n"
-      << "  \"bench\": \"approx_scaling\",\n"
-      << "  \"build_type\": \"" << BuildType() << "\",\n"
-      << "  \"hardware_threads\": " << HardwareThreadCount() << ",\n"
-      << "  \"epsilon\": " << kDefaultEpsilon << ",\n"
-      << "  \"deterministic\": " << (deterministic ? "true" : "false") << ",\n"
-      << "  \"gates\": {\"min_quality_ratio\": " << kMinQualityRatio
-      << ", \"measured_min_quality\": " << min_quality
-      << ", \"min_synthetic_speedup\": " << kMinSyntheticSpeedup
-      << ", \"measured_synthetic_speedup\": " << synth.Speedup() << "},\n"
-      << "  \"datasets\": [\n";
-  bool first = true;
-  for (const DatasetReport& r : reports) {
-    if (r.k == 0) continue;
-    if (!first) out << ",\n";
-    first = false;
-    char buf[512];
-    std::snprintf(buf, sizeof(buf),
-                  "    {\"name\": \"%s\", \"elements\": %zu, "
-                  "\"candidates\": %zu, \"k\": %zu,\n"
-                  "     \"exact_ms\": %.4f, \"approx_ms\": %.4f, "
-                  "\"speedup\": %.3f,\n"
-                  "     \"exact_coverage\": %.6f, \"approx_coverage\": %.6f, "
-                  "\"quality\": %.6f, \"deterministic\": %s,\n"
-                  "     \"epsilon_sweep\": [",
-                  r.name.c_str(), r.elements, r.candidates, r.k, r.exact_ms,
-                  r.approx_ms, r.Speedup(), r.exact_cov, r.approx_cov,
-                  r.quality, r.deterministic ? "true" : "false");
-    out << buf;
-    for (size_t i = 0; i < r.epsilon_sweep.size(); ++i) {
-      std::snprintf(buf, sizeof(buf), "{\"epsilon\": %.2f, \"quality\": %.6f}",
-                    r.epsilon_sweep[i].epsilon, r.epsilon_sweep[i].quality);
-      out << buf << (i + 1 < r.epsilon_sweep.size() ? ", " : "");
-    }
-    out << "]}";
-  }
-  out << "\n  ],\n";
-  char buf[512];
-  std::snprintf(buf, sizeof(buf),
-                "  \"synthetic\": {\"elements\": %zu, \"candidates\": %zu, "
-                "\"k\": %zu,\n"
-                "    \"exact_greedy_ms\": %.2f, \"approx_ms\": %.4f, "
-                "\"speedup\": %.2f,\n"
-                "    \"exact_coverage\": %.6f, \"approx_coverage\": %.6f, "
-                "\"deterministic\": %s}\n",
-                synth.elements, synth.candidates, synth.k,
-                synth.exact_greedy_ms, synth.approx_ms, synth.Speedup(),
-                synth.exact_cov, synth.approx_cov,
-                synth.deterministic ? "true" : "false");
-  out << buf << "}\n";
-  std::fprintf(stderr, "JSON written to %s\n", path.c_str());
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  ssum::ConsumeThreadsFlag(&argc, argv);
-  std::string json_path;
-  bool gate_only = false;
-  for (int i = 1; i < argc; ++i) {
-    std::string a = argv[i];
-    if (a == "--json" && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (a.rfind("--json=", 0) == 0) {
-      json_path = a.substr(7);
-    } else if (a == "--gate-only") {
-      gate_only = true;
-    } else {
-      std::fprintf(stderr,
-                   "usage: approx_scaling [--json <path>] [--gate-only]\n");
-      return 2;
-    }
-  }
-  if (!json_path.empty() && !IsReleaseBuild()) {
-    std::fprintf(stderr,
-                 "approx_scaling: refusing to emit gated JSON from a '%s' "
-                 "build; configure with -DCMAKE_BUILD_TYPE=Release "
-                 "(bench/run_bench.sh does this in build-bench/)\n",
-                 BuildType());
-    return 2;
-  }
+  const BenchFlags flags = ParseBenchFlags(argc, argv, "approx_scaling");
 
   std::printf("approximate MaxCoverage scaling — %u hardware thread(s), %s "
               "build, epsilon %.2f\n\n",
@@ -392,7 +265,7 @@ int main(int argc, char** argv) {
   // optimization the numbers are meaningless and the run would take
   // minutes, so debug builds skip it (they cannot emit JSON anyway).
   SyntheticReport synth;
-  if (ssum::IsReleaseBuild()) {
+  if (IsReleaseBuild()) {
     synth = RunSynthetic(&deterministic_ok);
     std::printf(
         "synthetic (%zu elements, %zu candidates, k=%zu)\n"
@@ -403,7 +276,7 @@ int main(int argc, char** argv) {
         synth.deterministic ? "deterministic" : "MISMATCH");
   } else {
     std::printf("\n(synthetic 10k phase skipped: %s build)\n",
-                ssum::BuildType());
+                BuildType());
   }
 
   bool gates_ok = true;
@@ -420,8 +293,52 @@ int main(int argc, char** argv) {
     gates_ok = false;
   }
 
-  if (!json_path.empty() && !gate_only) {
-    WriteJson(json_path, reports, synth, deterministic_ok, min_quality);
+  if (!flags.json_path.empty()) {
+    JsonRecord rec("approx_scaling");
+    rec.Field("epsilon", kDefaultEpsilon, 2)
+        .Field("deterministic", deterministic_ok)
+        .Open("gates", '{')
+        .Field("min_quality_ratio", kMinQualityRatio, 2)
+        .Field("measured_min_quality", min_quality, 6)
+        .Field("min_synthetic_speedup", kMinSyntheticSpeedup, 1)
+        .Field("measured_synthetic_speedup", synth.Speedup(), 2)
+        .Close()
+        .Open("datasets", '[');
+    for (const DatasetReport& r : reports) {
+      if (r.k == 0) continue;
+      rec.Open("", '{')
+          .Field("name", r.name)
+          .Field("elements", r.elements)
+          .Field("candidates", r.candidates)
+          .Field("k", r.k)
+          .Field("exact_ms", r.exact_ms)
+          .Field("approx_ms", r.approx_ms)
+          .Field("speedup", r.Speedup(), 3)
+          .Field("exact_coverage", r.exact_cov, 6)
+          .Field("approx_coverage", r.approx_cov, 6)
+          .Field("quality", r.quality, 6)
+          .Field("deterministic", r.deterministic)
+          .Open("epsilon_sweep", '[');
+      for (const EpsilonPoint& p : r.epsilon_sweep) {
+        rec.Open("", '{')
+            .Field("epsilon", p.epsilon, 2)
+            .Field("quality", p.quality, 6)
+            .Close();
+      }
+      rec.Close().Close();
+    }
+    rec.Close()
+        .Open("synthetic", '{')
+        .Field("elements", synth.elements)
+        .Field("candidates", synth.candidates)
+        .Field("k", synth.k)
+        .Field("exact_greedy_ms", synth.exact_greedy_ms, 2)
+        .Field("approx_ms", synth.approx_ms)
+        .Field("speedup", synth.Speedup(), 2)
+        .Field("exact_coverage", synth.exact_cov, 6)
+        .Field("approx_coverage", synth.approx_cov, 6)
+        .Field("deterministic", synth.deterministic);
+    if (!rec.Write(flags.json_path)) return 1;
   }
   if (!deterministic_ok) {
     std::fprintf(stderr,

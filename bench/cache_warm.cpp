@@ -11,19 +11,16 @@
 //   * the warm summary is exactly the cold summary (bit-identical matrices),
 //   * warm is at least 5x faster than cold.
 //
-//   cache_warm [--json <path>] [--sf S]
+//   cache_warm [--json <path> | --gate-only] [--threads N] [--sf X]
 //
 // --json writes the machine-readable record consumed by bench/run_bench.sh
-// (checked in as bench/BENCH_cache.json).
+// (checked in as bench/BENCH_cache.json); --gate-only runs the gates without
+// writing it (the CI bench stage). --sf must be > 0.
 
-#include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <string>
 
-#include "common/buildinfo.h"
+#include "bench_util.h"
 #include "core/summarize.h"
 #include "datasets/registry.h"
 #include "store/artifact_cache.h"
@@ -31,6 +28,7 @@
 namespace {
 
 using namespace ssum;
+using namespace ssum::bench;
 
 constexpr size_t kSummarySize = 10;
 constexpr double kMinSpeedup = 5.0;
@@ -42,13 +40,15 @@ struct PipelineResult {
 
 /// One full pipeline run, exactly what `ssum summarize` does: load the
 /// dataset (annotations cached), then the warm-start one-shot (summary
-/// cached, else matrices cached). `cache` may be null (cold).
-PipelineResult RunPipeline(double sf, ArtifactCache* cache) {
+/// cached, else matrices cached). `cache` may be null (cold). A failure is
+/// reported on stderr and clears `*ok`.
+PipelineResult RunPipeline(double sf, ArtifactCache* cache, bool* ok) {
   auto bundle = LoadDataset(DatasetKind::kXMark, sf, cache);
   if (!bundle.ok()) {
     std::fprintf(stderr, "LoadDataset failed: %s\n",
                  bundle.status().ToString().c_str());
-    std::exit(1);
+    *ok = false;
+    return {};
   }
   auto summary =
       Summarize(bundle->schema, bundle->annotations, kSummarySize,
@@ -56,60 +56,38 @@ PipelineResult RunPipeline(double sf, ArtifactCache* cache) {
   if (!summary.ok()) {
     std::fprintf(stderr, "Summarize failed: %s\n",
                  summary.status().ToString().c_str());
-    std::exit(1);
+    *ok = false;
+    return {};
   }
   return {std::move(*summary), bundle->data_elements};
-}
-
-template <typename Fn>
-double TimeMs(int reps, const Fn& fn) {
-  using clock = std::chrono::steady_clock;
-  auto t0 = clock::now();
-  for (int i = 0; i < reps; ++i) fn();
-  double total =
-      std::chrono::duration<double, std::milli>(clock::now() - t0).count();
-  return total / reps;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string json_path;
   double sf = 0.5;
-  for (int i = 1; i < argc; ++i) {
-    if (!std::strcmp(argv[i], "--json") && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (!std::strcmp(argv[i], "--sf") && i + 1 < argc) {
-      sf = std::atof(argv[++i]);
-    }
-  }
-  if (!json_path.empty() && !ssum::IsReleaseBuild()) {
-    std::fprintf(stderr,
-                 "cache_warm: refusing to emit gated JSON from a '%s' build; "
-                 "configure with -DCMAKE_BUILD_TYPE=Release\n",
-                 ssum::BuildType());
-    return 2;
-  }
+  const BenchFlags flags = ParseBenchFlags(argc, argv, "cache_warm",
+                                           {DoubleFlag("--sf", &sf, 0.0)});
 
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "ssum_cache_warm_bench")
-          .string();
-  std::filesystem::remove_all(dir);
-  ArtifactCache cache(dir);
+  const ScratchDir dir("cache_warm_bench");
+  ArtifactCache cache(dir.path());
   if (!cache.EnsureDir().ok()) {
-    std::fprintf(stderr, "cannot create cache dir %s\n", dir.c_str());
+    std::fprintf(stderr, "cannot create cache dir %s\n", dir.path().c_str());
     return 1;
   }
 
   std::printf("cache_warm: XMark sf %.2f, K = %zu\n", sf, kSummarySize);
 
-  PipelineResult cold = RunPipeline(sf, nullptr);
-  const double cold_ms = TimeMs(3, [&] { RunPipeline(sf, nullptr); });
+  // Cold and warm report the mean over their timed runs.
+  bool pipeline_ok = true;
+  PipelineResult cold = RunPipeline(sf, nullptr, &pipeline_ok);
+  const double cold_ms =
+      BatchMs(3, [&] { RunPipeline(sf, nullptr, &pipeline_ok); });
   std::printf("  cold   %10.2f ms  (%llu data nodes)\n", cold_ms,
               static_cast<unsigned long long>(cold.data_elements));
 
   // Populate, then time the fully-warm path.
-  RunPipeline(sf, &cache);
+  RunPipeline(sf, &cache, &pipeline_ok);
 
   // Matrix-layer gate: a fresh context over the populated cache must load
   // both all-pairs matrices from containers (the timed warm path below never
@@ -129,11 +107,13 @@ int main(int argc, char** argv) {
   }
 
   const CacheCounters populated = cache.session_counters();
-  PipelineResult warm = RunPipeline(sf, &cache);
-  const double warm_ms = TimeMs(10, [&] { RunPipeline(sf, &cache); });
+  PipelineResult warm = RunPipeline(sf, &cache, &pipeline_ok);
+  const double warm_ms =
+      BatchMs(10, [&] { RunPipeline(sf, &cache, &pipeline_ok); });
   const CacheCounters after = cache.session_counters();
   std::printf("  warm   %10.2f ms\n", warm_ms);
 
+  if (!pipeline_ok) return 1;
   const double speedup = warm_ms > 0 ? cold_ms / warm_ms : 0.0;
   std::printf("  speedup %8.1fx\n", speedup);
 
@@ -173,29 +153,22 @@ int main(int argc, char** argv) {
     ok = false;
   }
 
-  if (!json_path.empty()) {
-    std::ofstream out(json_path, std::ios::trunc);
-    out << "{\n"
-        << "  \"bench\": \"cache_warm\",\n"
-        << "  \"build_type\": \"" << ssum::BuildType() << "\",\n"
-        << "  \"dataset\": \"XMark\",\n"
-        << "  \"sf\": " << sf << ",\n"
-        << "  \"summary_size\": " << kSummarySize << ",\n"
-        << "  \"data_elements\": " << cold.data_elements << ",\n"
-        << "  \"cold_ms\": " << cold_ms << ",\n"
-        << "  \"warm_ms\": " << warm_ms << ",\n"
-        << "  \"speedup\": " << speedup << ",\n"
-        << "  \"matrices_from_cache\": " << matrices_from_cache << ",\n"
-        << "  \"warm_installs\": " << warm_installs << ",\n"
-        << "  \"warm_hits\": " << warm_hits << ",\n"
-        << "  \"deterministic\": " << (deterministic ? "true" : "false")
-        << ",\n"
-        << "  \"gate_min_speedup\": " << kMinSpeedup << ",\n"
-        << "  \"ok\": " << (ok ? "true" : "false") << "\n"
-        << "}\n";
-    std::printf("  wrote %s\n", json_path.c_str());
+  if (!flags.json_path.empty()) {
+    JsonRecord rec("cache_warm");
+    rec.Field("dataset", "XMark")
+        .Field("sf", sf, 2)
+        .Field("summary_size", kSummarySize)
+        .Field("data_elements", cold.data_elements)
+        .Field("cold_ms", cold_ms)
+        .Field("warm_ms", warm_ms)
+        .Field("speedup", speedup, 2)
+        .Field("matrices_from_cache", matrices_from_cache)
+        .Field("warm_installs", warm_installs)
+        .Field("warm_hits", warm_hits)
+        .Field("deterministic", deterministic)
+        .Field("gate_min_speedup", kMinSpeedup, 1)
+        .Field("ok", ok);
+    if (!rec.Write(flags.json_path)) return 1;
   }
-
-  std::filesystem::remove_all(dir);
   return ok ? 0 : 1;
 }

@@ -4,7 +4,7 @@
 // units, with snapshot lineage resolving each step's base annotations from
 // the artifact cache, then a context built over the new statistics.
 //
-//   delta_scaling [--json <path>] [--gate-only] [--threads N]
+//   delta_scaling [--json <path> | --gate-only] [--threads N]
 //
 // Gates (any violation fails the run):
 //   * every chain step actually takes the incremental path (analytic dirty
@@ -19,17 +19,12 @@
 // (checked in as bench/BENCH_delta.json); --gate-only runs the gates
 // without writing JSON (the CI bench stage).
 
-#include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <deque>
-#include <filesystem>
-#include <fstream>
 #include <string>
 #include <vector>
 
-#include "common/buildinfo.h"
-#include "common/parallel.h"
+#include "bench_util.h"
 #include "core/summarize.h"
 #include "datasets/scenario.h"
 #include "stats/annotate.h"
@@ -38,6 +33,7 @@
 namespace {
 
 using namespace ssum;
+using namespace ssum::bench;
 
 // Sized so annotation dominates the cold pipeline (many units, a modest
 // matrix): that is the regime incremental summarization exists for.
@@ -62,23 +58,6 @@ ScenarioSpec MakeVersion(int i) {
   return spec;
 }
 
-/// Min-of-reps: the minimum is the noise-robust estimator of a step's
-/// cost (scheduler or IO hiccups only ever add time), and keeps the
-/// fraction gate from tripping on one slow rep.
-template <typename Fn>
-double TimeMs(int reps, const Fn& fn) {
-  using clock = std::chrono::steady_clock;
-  double best = 0.0;
-  for (int i = 0; i < reps; ++i) {
-    auto t0 = clock::now();
-    fn();
-    double ms =
-        std::chrono::duration<double, std::milli>(clock::now() - t0).count();
-    if (i == 0 || ms < best) best = ms;
-  }
-  return best;
-}
-
 struct StepReport {
   int version = 0;
   uint64_t dirty_units = 0;
@@ -90,39 +69,10 @@ struct StepReport {
   double Fraction() const { return cold_ms > 0 ? inc_ms / cold_ms : 1.0; }
 };
 
-bool Equal(const SquareMatrix& a, const SquareMatrix& b) {
-  return a.size() == b.size() &&
-         std::memcmp(a.data().data(), b.data().data(),
-                     a.data().size() * sizeof(double)) == 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  ssum::ConsumeThreadsFlag(&argc, argv);
-  std::string json_path;
-  bool gate_only = false;
-  for (int i = 1; i < argc; ++i) {
-    std::string a = argv[i];
-    if (a == "--json" && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (a.rfind("--json=", 0) == 0) {
-      json_path = a.substr(7);
-    } else if (a == "--gate-only") {
-      gate_only = true;
-    } else {
-      std::fprintf(stderr,
-                   "usage: delta_scaling [--json <path>] [--gate-only]\n");
-      return 2;
-    }
-  }
-  if (!json_path.empty() && !gate_only && !IsReleaseBuild()) {
-    std::fprintf(stderr,
-                 "delta_scaling: refusing to emit gated JSON from a '%s' "
-                 "build; configure with -DCMAKE_BUILD_TYPE=Release\n",
-                 BuildType());
-    return 2;
-  }
+  const BenchFlags flags = ParseBenchFlags(argc, argv, "delta_scaling");
 
   std::printf(
       "delta scaling — %u elements, %llu units, chain of %d versions, "
@@ -151,12 +101,8 @@ int main(int argc, char** argv) {
   // version by version and compare every layer against the cold pipeline.
   // -------------------------------------------------------------------------
   for (uint32_t threads : {1u, 8u}) {
-    const std::string dir =
-        (std::filesystem::temp_directory_path() /
-         ("ssum_delta_bench_t" + std::to_string(threads)))
-            .string();
-    std::filesystem::remove_all(dir);
-    ArtifactCache cache(dir);
+    const ScratchDir dir("delta_bench_t" + std::to_string(threads));
+    ArtifactCache cache(dir.path());
 
     SummarizeOptions options;
     options.parallel.threads = threads;
@@ -215,8 +161,8 @@ int main(int argc, char** argv) {
                      cold.status().ToString().c_str());
         return 1;
       }
-      if (!Equal(inc->affinity().matrix(), cold->affinity().matrix()) ||
-          !Equal(inc->coverage().matrix(), cold->coverage().matrix())) {
+      if (!SameBytes(inc->affinity().matrix(), cold->affinity().matrix()) ||
+          !SameBytes(inc->coverage().matrix(), cold->coverage().matrix())) {
         std::fprintf(stderr,
                      "FAIL: threads=%u v%d incremental matrices are not "
                      "byte-equal to the cold ones\n",
@@ -240,20 +186,19 @@ int main(int argc, char** argv) {
     }
     std::printf("  threads=%u: chain bit-identity %s\n", threads,
                 identical ? "ok" : "VIOLATED");
-    std::filesystem::remove_all(dir);
   }
 
   // -------------------------------------------------------------------------
   // Wall clock: cold pipeline per version vs the incremental step. The
   // cache is pre-populated by a warm-up chain pass, so the timed incremental
   // step measures what a steady-state consumer pays: lineage lookup + dirty
-  // set + delta walk + context build + selection.
+  // set + delta walk + context build + selection. Every time is the minimum
+  // over kReps runs: scheduler or IO hiccups only ever add time, so one slow
+  // rep cannot trip the fraction gate.
   // -------------------------------------------------------------------------
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "ssum_delta_bench_time")
-          .string();
-  std::filesystem::remove_all(dir);
-  ArtifactCache cache(dir);
+  const ScratchDir dir("delta_bench_time");
+  ArtifactCache cache(dir.path());
+  bool timed_ok = true;  // every timed run summarized
 
   SummarizeOptions options;  // session default threads
 
@@ -262,11 +207,10 @@ int main(int argc, char** argv) {
     StepReport& step = steps[i - 1];
     step.version = i;
 
-    step.cold_ms = TimeMs(kReps, [&] {
+    step.cold_ms = MinOfNMs(kReps, [&] {
       auto ann = AnnotateSchemaSharded(*versions[i].MakeShardedSource());
       auto ctx = SummarizerContext::Make(versions[i].schema(), *ann, options);
-      auto summary = Summarize(*ctx, kSummarySize);
-      if (!summary.ok()) std::exit(1);
+      timed_ok &= Summarize(*ctx, kSummarySize).ok();
     });
 
     // Warm-up: populates the lineage chain for this step and records the
@@ -282,12 +226,11 @@ int main(int argc, char** argv) {
       step.lineage_hops = delta->lineage_hops;
     }
 
-    step.inc_ms = TimeMs(kReps, [&] {
+    step.inc_ms = MinOfNMs(kReps, [&] {
       auto delta = AnnotateScenarioDelta(versions[i - 1], versions[i], &cache);
       auto inc = SummarizerContext::Make(versions[i].schema(),
                                          delta->annotations, options);
-      auto summary = Summarize(*inc, kSummarySize);
-      if (!summary.ok()) std::exit(1);
+      timed_ok &= Summarize(*inc, kSummarySize).ok();
     });
 
     std::printf(
@@ -305,45 +248,36 @@ int main(int argc, char** argv) {
       ok = false;
     }
   }
-  std::filesystem::remove_all(dir);
+  if (!timed_ok) {
+    std::fprintf(stderr, "a timed summarize failed\n");
+    return 1;
+  }
   ok = ok && identical;
 
-  if (!json_path.empty() && !gate_only) {
-    std::ofstream out(json_path, std::ios::trunc);
-    if (!out) {
-      std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
-      return 1;
+  if (!flags.json_path.empty()) {
+    JsonRecord rec("delta_scaling");
+    rec.Field("threads", ResolveThreadCount(0))
+        .Field("schema_elements", kElements)
+        .Field("instance_units", kUnits)
+        .Field("chain", kChain)
+        .Field("mutate_fraction", kMutateFraction, 2)
+        .Field("summary_size", kSummarySize)
+        .Field("gate_max_inc_fraction", kMaxIncFraction, 2)
+        .Field("bit_identical", identical)
+        .Open("steps", '[');
+    for (const StepReport& r : steps) {
+      rec.Open("", '{')
+          .Field("version", r.version)
+          .Field("cold_ms", r.cold_ms)
+          .Field("inc_ms", r.inc_ms)
+          .Field("fraction", r.Fraction())
+          .Field("dirty_units", r.dirty_units)
+          .Field("total_units", r.total_units)
+          .Field("lineage_hops", r.lineage_hops)
+          .Close();
     }
-    out << "{\n"
-        << "  \"bench\": \"delta_scaling\",\n"
-        << "  \"build_type\": \"" << BuildType() << "\",\n"
-        << "  \"hardware_threads\": " << HardwareThreadCount() << ",\n"
-        << "  \"threads\": " << ResolveThreadCount(0) << ",\n"
-        << "  \"schema_elements\": " << kElements << ",\n"
-        << "  \"instance_units\": " << kUnits << ",\n"
-        << "  \"chain\": " << kChain << ",\n"
-        << "  \"mutate_fraction\": " << kMutateFraction << ",\n"
-        << "  \"summary_size\": " << kSummarySize << ",\n"
-        << "  \"gate_max_inc_fraction\": " << kMaxIncFraction << ",\n"
-        << "  \"bit_identical\": " << (identical ? "true" : "false") << ",\n"
-        << "  \"steps\": [\n";
-    for (size_t s = 0; s < steps.size(); ++s) {
-      const StepReport& r = steps[s];
-      char buf[240];
-      std::snprintf(
-          buf, sizeof(buf),
-          "    {\"version\": %d, \"cold_ms\": %.4f, \"inc_ms\": %.4f, "
-          "\"fraction\": %.4f, \"dirty_units\": %llu, \"total_units\": %llu, "
-          "\"lineage_hops\": %u}",
-          r.version, r.cold_ms, r.inc_ms, r.Fraction(),
-          static_cast<unsigned long long>(r.dirty_units),
-          static_cast<unsigned long long>(r.total_units), r.lineage_hops);
-      out << buf << (s + 1 < steps.size() ? ",\n" : "\n");
-    }
-    out << "  ],\n"
-        << "  \"ok\": " << (ok ? "true" : "false") << "\n"
-        << "}\n";
-    std::printf("  wrote %s\n", json_path.c_str());
+    rec.Close().Field("ok", ok);
+    if (!rec.Write(flags.json_path)) return 1;
   }
 
   if (!ok) {

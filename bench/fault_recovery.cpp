@@ -12,24 +12,21 @@
 //     budget must return kDeadlineExceeded well inside the slack window
 //     instead of running to completion (seconds).
 //
-//   fault_recovery [--json <path>] [--gate-only]
+//   fault_recovery [--json <path> | --gate-only] [--threads N]
 //
 // --json writes the machine-readable record consumed by bench/run_bench.sh
 // (checked in as bench/BENCH_fault.json); Release builds only. --gate-only
-// runs the correctness gates without timing gates (any build type — this is
-// what the CI faults stage runs under sanitizers, where timings are
-// meaningless).
+// runs the correctness gates without timing gates and writes no record (any
+// build type — this is what the CI faults stage runs under sanitizers, where
+// timings are meaningless).
 
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
 
-#include "common/buildinfo.h"
+#include "bench_util.h"
 #include "common/deadline.h"
 #include "common/env.h"
 #include "core/summarize.h"
@@ -42,6 +39,7 @@
 namespace {
 
 using namespace ssum;
+using namespace ssum::bench;
 
 constexpr double kMaxWarmOverhead = 0.02;  // 2%
 constexpr int kContainers = 32;
@@ -55,24 +53,6 @@ constexpr int64_t kDeadlineBudgetMs = 50;
 // computation takes (tens of seconds).
 constexpr double kDeadlineSlackMs = 950.0;
 
-double NowMs() {
-  using clock = std::chrono::steady_clock;
-  return std::chrono::duration<double, std::milli>(
-             clock::now().time_since_epoch())
-      .count();
-}
-
-template <typename Fn>
-double MinOfN(int samples, const Fn& fn) {
-  double best = 1e300;
-  for (int s = 0; s < samples; ++s) {
-    double t0 = NowMs();
-    fn();
-    best = std::min(best, NowMs() - t0);
-  }
-  return best;
-}
-
 /// The pre-Env read path: a plain ifstream slurp, byte-for-byte what
 /// PosixEnv::ReadFile does minus the virtual dispatch and Status plumbing.
 std::string DirectRead(const std::string& path) {
@@ -81,39 +61,18 @@ std::string DirectRead(const std::string& path) {
                      std::istreambuf_iterator<char>());
 }
 
-std::string BenchDir() {
-  return (std::filesystem::temp_directory_path() / "ssum_fault_bench")
-      .string();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string json_path;
-  bool gate_only = false;
-  for (int i = 1; i < argc; ++i) {
-    if (!std::strcmp(argv[i], "--json") && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (!std::strcmp(argv[i], "--gate-only")) {
-      gate_only = true;
-    }
-  }
-  if (!json_path.empty() && !ssum::IsReleaseBuild()) {
-    std::fprintf(stderr,
-                 "fault_recovery: refusing to emit gated JSON from a '%s' "
-                 "build; configure with -DCMAKE_BUILD_TYPE=Release\n",
-                 ssum::BuildType());
-    return 2;
-  }
+  const BenchFlags flags = ParseBenchFlags(argc, argv, "fault_recovery");
 
   bool ok = true;
-  const std::string dir = BenchDir();
-  std::filesystem::remove_all(dir);
+  const ScratchDir scratch("fault_bench");
+  const std::string& dir = scratch.path();
 
   // -------------------------------------------------------------------
   // 1. Warm-path overhead: Env-routed read+parse vs direct read+parse.
   // -------------------------------------------------------------------
-  std::filesystem::create_directories(dir);
   SquareMatrix m(256, 0.0);
   for (size_t r = 0; r < m.size(); ++r) {
     for (size_t c = 0; c < m.size(); ++c) {
@@ -128,7 +87,7 @@ int main(int argc, char** argv) {
   }
 
   uint64_t sink = 0;
-  const double direct_ms = MinOfN(kSamples, [&] {
+  const double direct_ms = MinOfNMs(kSamples, [&] {
     for (int i = 0; i < kReadReps; ++i) {
       std::string bytes = DirectRead(warm_path);
       auto parsed = ParseContainer(bytes);
@@ -136,7 +95,7 @@ int main(int argc, char** argv) {
     }
   });
   Env* env = Env::Default();
-  const double env_ms = MinOfN(kSamples, [&] {
+  const double env_ms = MinOfNMs(kSamples, [&] {
     for (int i = 0; i < kReadReps; ++i) {
       auto bytes = ReadFileBytes(env, warm_path);
       if (!bytes.ok()) continue;
@@ -149,7 +108,7 @@ int main(int argc, char** argv) {
       direct_ms > 0 ? (env_ms - direct_ms) / direct_ms : 0.0;
   std::printf("warm path: direct %8.2f ms, env %8.2f ms, overhead %+.2f%%\n",
               direct_ms, env_ms, overhead * 100.0);
-  if (!gate_only && overhead > kMaxWarmOverhead) {
+  if (!flags.gate_only && overhead > kMaxWarmOverhead) {
     std::fprintf(stderr, "FAIL: env warm-path overhead %.2f%% above 2%%\n",
                  overhead * 100.0);
     ok = false;
@@ -182,14 +141,15 @@ int main(int argc, char** argv) {
     out << bytes;
   }
 
-  const double heal_t0 = NowMs();
-  auto report = cache.Verify(/*quarantine_corrupt=*/true);
+  uint64_t quarantined = 0;
   uint64_t reinstalled = 0;
-  for (const Fingerprint& key : keys) {
-    if (cache.StoreAnnotations(key, small.annotations).ok()) ++reinstalled;
-  }
-  const double heal_ms = NowMs() - heal_t0;
-  const uint64_t quarantined = report.ok() ? report->quarantined : 0;
+  const double heal_ms = OnceMs([&] {
+    auto report = cache.Verify(/*quarantine_corrupt=*/true);
+    if (report.ok()) quarantined = report->quarantined;
+    for (const Fingerprint& key : keys) {
+      if (cache.StoreAnnotations(key, small.annotations).ok()) ++reinstalled;
+    }
+  });
   const uint64_t healed = cache.session_counters().healed;
   const double heals_per_sec =
       heal_ms > 0 ? 1000.0 * static_cast<double>(healed) / heal_ms : 0.0;
@@ -224,12 +184,13 @@ int main(int argc, char** argv) {
   SyntheticSchema synth = BuildSyntheticSchema(params);
   SummarizeOptions options;
   options.parallel.deadline = Deadline::After(kDeadlineBudgetMs);
-  const double abort_t0 = NowMs();
-  auto context =
-      SummarizerContext::Make(synth.graph, synth.annotations, options);
-  Status abort_status =
-      context.ok() ? Summarize(*context, 8).status() : context.status();
-  const double abort_ms = NowMs() - abort_t0;
+  Status abort_status;
+  const double abort_ms = OnceMs([&] {
+    auto context =
+        SummarizerContext::Make(synth.graph, synth.annotations, options);
+    abort_status =
+        context.ok() ? Summarize(*context, 8).status() : context.status();
+  });
   std::printf("deadline: 10k summarize under %lld ms budget -> '%s' after "
               "%.1f ms\n",
               static_cast<long long>(kDeadlineBudgetMs),
@@ -239,7 +200,7 @@ int main(int argc, char** argv) {
                  abort_status.ToString().c_str());
     ok = false;
   }
-  if (!gate_only &&
+  if (!flags.gate_only &&
       abort_ms > static_cast<double>(kDeadlineBudgetMs) + kDeadlineSlackMs) {
     std::fprintf(stderr,
                  "FAIL: abort took %.1f ms, budget %lld ms + %.0f ms slack\n",
@@ -248,28 +209,22 @@ int main(int argc, char** argv) {
     ok = false;
   }
 
-  if (!json_path.empty()) {
-    std::ofstream out(json_path, std::ios::trunc);
-    out << "{\n"
-        << "  \"bench\": \"fault_recovery\",\n"
-        << "  \"build_type\": \"" << ssum::BuildType() << "\",\n"
-        << "  \"warm_direct_ms\": " << direct_ms << ",\n"
-        << "  \"warm_env_ms\": " << env_ms << ",\n"
-        << "  \"warm_overhead\": " << overhead << ",\n"
-        << "  \"gate_max_overhead\": " << kMaxWarmOverhead << ",\n"
-        << "  \"containers\": " << kContainers << ",\n"
-        << "  \"quarantined\": " << quarantined << ",\n"
-        << "  \"healed\": " << healed << ",\n"
-        << "  \"heal_ms\": " << heal_ms << ",\n"
-        << "  \"heals_per_sec\": " << heals_per_sec << ",\n"
-        << "  \"deadline_budget_ms\": " << kDeadlineBudgetMs << ",\n"
-        << "  \"deadline_abort_ms\": " << abort_ms << ",\n"
-        << "  \"deadline_slack_ms\": " << kDeadlineSlackMs << ",\n"
-        << "  \"ok\": " << (ok ? "true" : "false") << "\n"
-        << "}\n";
-    std::printf("  wrote %s\n", json_path.c_str());
+  if (!flags.json_path.empty()) {
+    JsonRecord rec("fault_recovery");
+    rec.Field("warm_direct_ms", direct_ms)
+        .Field("warm_env_ms", env_ms)
+        .Field("warm_overhead", overhead, 6)
+        .Field("gate_max_overhead", kMaxWarmOverhead, 2)
+        .Field("containers", kContainers)
+        .Field("quarantined", quarantined)
+        .Field("healed", healed)
+        .Field("heal_ms", heal_ms)
+        .Field("heals_per_sec", heals_per_sec, 1)
+        .Field("deadline_budget_ms", kDeadlineBudgetMs)
+        .Field("deadline_abort_ms", abort_ms, 1)
+        .Field("deadline_slack_ms", kDeadlineSlackMs, 1)
+        .Field("ok", ok);
+    if (!rec.Write(flags.json_path)) return 1;
   }
-
-  std::filesystem::remove_all(dir);
   return ok ? 0 : 1;
 }

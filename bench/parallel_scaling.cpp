@@ -10,20 +10,17 @@
 // run meaningfully slower than the single-thread path (the enumeration width
 // is clamped to the hardware in summarize.cc; this gate keeps it that way).
 //
-//   parallel_scaling [--json <path>] [--threads N]
+//   parallel_scaling [--json <path> | --gate-only] [--threads N]
 //
 // --json writes the machine-readable trajectory record consumed by
-// bench/run_bench.sh (checked in as bench/BENCH_parallel.json).
+// bench/run_bench.sh (checked in as bench/BENCH_parallel.json). The gates run
+// either way; --gate-only just states that no record is wanted.
 
-#include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
-#include "common/buildinfo.h"
-#include "common/parallel.h"
+#include "bench_util.h"
 #include "core/summarize.h"
 #include "datasets/registry.h"
 #include "query/discovery.h"
@@ -31,6 +28,7 @@
 namespace {
 
 using namespace ssum;
+using namespace ssum::bench;
 
 constexpr uint32_t kThreadCounts[] = {1, 2, 4, 8};
 constexpr double kTargetMs = 40.0;  // per timing batch, keeps the bench quick
@@ -38,36 +36,6 @@ constexpr int kBatches = 3;         // min-of-k batches rejects host noise
 // Release gate: maxcoverage_exact at any thread count may be at most this
 // factor slower than its single-thread time.
 constexpr double kNoRegressionFactor = 1.25;
-
-template <typename Fn>
-double OnceMs(const Fn& fn) {
-  using clock = std::chrono::steady_clock;
-  const auto t0 = clock::now();
-  fn();
-  return std::chrono::duration<double, std::milli>(clock::now() - t0).count();
-}
-
-template <typename Fn>
-double TimeMs(const Fn& fn) {
-  // Calibrate the repetition count from one warm-up run, then take the
-  // fastest of kBatches batches (transient host noise only ever slows a
-  // batch down, so the minimum is the clean measurement).
-  const double once = OnceMs(fn);
-  int reps = 1;
-  if (once < kTargetMs) {
-    reps = static_cast<int>(kTargetMs / (once > 1e-3 ? once : 1e-3)) + 1;
-    if (reps > 10000) reps = 10000;
-  }
-  double best = 0.0;
-  for (int b = 0; b < kBatches; ++b) {
-    const double ms = OnceMs([&] {
-                        for (int i = 0; i < reps; ++i) fn();
-                      }) /
-                      reps;
-    if (b == 0 || ms < best) best = ms;
-  }
-  return best;
-}
 
 struct ThreadPoint {
   uint32_t threads;
@@ -90,20 +58,6 @@ struct DatasetReport {
   size_t schema_elements;
   std::vector<KernelReport> kernels;
 };
-
-bool SameBytes(const SquareMatrix& a, const SquareMatrix& b) {
-  return a.size() == b.size() &&
-         std::memcmp(a.data().data(), b.data().data(),
-                     a.data().size() * sizeof(double)) == 0;
-}
-
-uint64_t Binomial(uint64_t n, uint64_t k) {
-  if (k > n) return 0;
-  k = std::min(k, n - k);
-  uint64_t r = 1;
-  for (uint64_t i = 1; i <= k; ++i) r = r * (n - k + i) / i;
-  return r;
-}
 
 DatasetReport RunDataset(const DatasetBundle& bundle, double sf, bool* ok,
                          bool* no_regression) {
@@ -129,11 +83,11 @@ DatasetReport RunDataset(const DatasetBundle& bundle, double sf, bool* ok,
   for (uint32_t t : kThreadCounts) {
     ParallelOptions par;
     par.threads = t;
-    aff.points.push_back({t, TimeMs([&] {
+    aff.points.push_back({t, MinOfBatchesMs(kTargetMs, kBatches, [&] {
       auto m = AffinityMatrix::TryCompute(bundle.schema, metrics, {}, par);
       (void)m;
     })});
-    cov.points.push_back({t, TimeMs([&] {
+    cov.points.push_back({t, MinOfBatchesMs(kTargetMs, kBatches, [&] {
       auto m = CoverageMatrix::TryCompute(bundle.schema, bundle.annotations,
                                           metrics, {}, par);
       (void)m;
@@ -158,13 +112,8 @@ DatasetReport RunDataset(const DatasetBundle& bundle, double sf, bool* ok,
                                          base)
                      .ValueOrDie();
     const size_t m = probe.dominance().candidates.size();
-    // Largest k <= 8 whose full enumeration fits the budget.
-    size_t k = 0;
-    for (size_t cand_k = 2; cand_k <= 8 && cand_k < m; ++cand_k) {
-      if (Binomial(m, cand_k) <= base.max_coverage_enumeration_budget) {
-        k = cand_k;
-      }
-    }
+    const size_t k =
+        LargestEnumerableK(m, base.max_coverage_enumeration_budget);
     if (k >= 2) {
       KernelReport sel{"maxcoverage_exact", {}, true};
       std::vector<ElementId> serial_set;
@@ -175,7 +124,7 @@ DatasetReport RunDataset(const DatasetBundle& bundle, double sf, bool* ok,
                                                bundle.annotations, opts)
                            .ValueOrDie();
         std::vector<ElementId> last;
-        sel.points.push_back({t, TimeMs([&] {
+        sel.points.push_back({t, MinOfBatchesMs(kTargetMs, kBatches, [&] {
           auto r = SelectMaxCoverage(context, k);
           if (r.ok()) last = *r;
         })});
@@ -215,7 +164,7 @@ DatasetReport RunDataset(const DatasetBundle& bundle, double sf, bool* ok,
       ParallelOptions par;
       par.threads = t;
       double avg = 0;
-      disc.points.push_back({t, TimeMs([&] {
+      disc.points.push_back({t, MinOfBatchesMs(kTargetMs, kBatches, [&] {
         avg = AverageDiscoveryCost(oracle, bundle.workload,
                                    TraversalStrategy::kBestFirst, par);
       })});
@@ -246,70 +195,10 @@ void PrintReport(const DatasetReport& report) {
   }
 }
 
-void WriteJson(const std::string& path,
-               const std::vector<DatasetReport>& reports, bool ok) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return;
-  }
-  out << "{\n"
-      << "  \"bench\": \"parallel_scaling\",\n"
-      << "  \"build_type\": \"" << BuildType() << "\",\n"
-      << "  \"hardware_threads\": " << HardwareThreadCount() << ",\n"
-      << "  \"deterministic\": " << (ok ? "true" : "false") << ",\n"
-      << "  \"datasets\": [\n";
-  for (size_t d = 0; d < reports.size(); ++d) {
-    const DatasetReport& r = reports[d];
-    out << "    {\n"
-        << "      \"name\": \"" << r.name << "\",\n"
-        << "      \"sf\": " << r.sf << ",\n"
-        << "      \"schema_elements\": " << r.schema_elements << ",\n"
-        << "      \"kernels\": [\n";
-    for (size_t k = 0; k < r.kernels.size(); ++k) {
-      const KernelReport& kr = r.kernels[k];
-      out << "        {\"kernel\": \"" << kr.kernel << "\", "
-          << "\"deterministic\": " << (kr.deterministic ? "true" : "false")
-          << ", \"results\": [";
-      for (size_t p = 0; p < kr.points.size(); ++p) {
-        const ThreadPoint& tp = kr.points[p];
-        char buf[128];
-        std::snprintf(buf, sizeof(buf),
-                      "{\"threads\": %u, \"ms\": %.4f, \"speedup\": %.3f}",
-                      tp.threads, tp.ms, kr.Speedup(tp));
-        out << buf << (p + 1 < kr.points.size() ? ", " : "");
-      }
-      out << "]}" << (k + 1 < r.kernels.size() ? "," : "") << "\n";
-    }
-    out << "      ]\n    }" << (d + 1 < reports.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-  std::fprintf(stderr, "JSON written to %s\n", path.c_str());
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  ssum::ConsumeThreadsFlag(&argc, argv);
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    std::string a = argv[i];
-    if (a == "--json" && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (a.rfind("--json=", 0) == 0) {
-      json_path = a.substr(7);
-    } else {
-      std::fprintf(stderr, "usage: parallel_scaling [--json <path>]\n");
-      return 2;
-    }
-  }
-  if (!json_path.empty() && !ssum::IsReleaseBuild()) {
-    std::fprintf(stderr,
-                 "parallel_scaling: refusing to emit gated JSON from a '%s' "
-                 "build; configure with -DCMAKE_BUILD_TYPE=Release\n",
-                 ssum::BuildType());
-    return 2;
-  }
+  const BenchFlags flags = ParseBenchFlags(argc, argv, "parallel_scaling");
 
   std::printf("parallel scaling — %u hardware thread(s)\n\n",
               HardwareThreadCount());
@@ -327,7 +216,33 @@ int main(int argc, char** argv) {
     PrintReport(reports.back());
     std::printf("\n");
   }
-  if (!json_path.empty()) WriteJson(json_path, reports, ok);
+  if (!flags.json_path.empty()) {
+    JsonRecord rec("parallel_scaling");
+    rec.Field("deterministic", ok).Open("datasets", '[');
+    for (const DatasetReport& r : reports) {
+      rec.Open("", '{')
+          .Field("name", r.name)
+          .Field("sf", r.sf, 2)
+          .Field("schema_elements", r.schema_elements)
+          .Open("kernels", '[');
+      for (const KernelReport& kr : r.kernels) {
+        rec.Open("", '{')
+            .Field("kernel", kr.kernel)
+            .Field("deterministic", kr.deterministic)
+            .Open("results", '[');
+        for (const ThreadPoint& tp : kr.points) {
+          rec.Open("", '{')
+              .Field("threads", tp.threads)
+              .Field("ms", tp.ms)
+              .Field("speedup", kr.Speedup(tp), 3)
+              .Close();
+        }
+        rec.Close().Close();
+      }
+      rec.Close().Close();
+    }
+    if (!rec.Write(flags.json_path)) return 1;
+  }
   if (!ok) {
     std::fprintf(stderr,
                  "DETERMINISM VIOLATION: parallel output diverged from the "
@@ -335,11 +250,11 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (!no_regression) {
-    if (ssum::IsReleaseBuild()) {
+    if (IsReleaseBuild()) {
       std::fprintf(stderr, "BENCH GATE FAILED (see REGRESSION lines above)\n");
       return 1;
     }
-    std::printf("(no-regression gate skipped: %s build)\n", ssum::BuildType());
+    std::printf("(no-regression gate skipped: %s build)\n", BuildType());
   }
   return 0;
 }

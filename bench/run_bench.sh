@@ -29,13 +29,12 @@
 #                               versioned scenario chain (gates: every step
 #                               incremental, < 20% of the cold pipeline,
 #                               bit-identical to cold at 1 and 8 threads)
-# Every record is also copied to the repo root so trajectory tooling can
-# pick up BENCH_*.json from either location; a full run fails loudly if any
+# bench/ is the only record location; a full run fails loudly if any
 # expected record is missing afterwards.
 #
 # The benches build in a dedicated Release tree (build-bench/ by default):
 # every record embeds its build type, and the gated binaries exit 2 rather
-# than emit JSON from a debug build, so the checked-in trajectory can only
+# than emit JSON from a debug build (bench/bench_util.h), so the checked-in trajectory can only
 # ever contain release numbers.
 #
 # Usage: bench/run_bench.sh [build-dir]   (default: <repo>/build-bench)
@@ -85,12 +84,4 @@ for record in BENCH_parallel.json BENCH_annotate.json BENCH_walk.json \
   fi
 done
 [[ "$missing" -eq 0 ]] || exit 1
-
-echo "perf trajectory updated:"
-for record in BENCH_parallel.json BENCH_annotate.json BENCH_walk.json \
-              BENCH_perf.json BENCH_cache.json BENCH_approx.json \
-              BENCH_fault.json BENCH_serve.json BENCH_scenario.json \
-              BENCH_delta.json; do
-  cp "$ROOT/bench/$record" "$ROOT/$record"
-  echo "  $ROOT/bench/$record (+ $ROOT/$record)"
-done
+echo "perf trajectory updated in $ROOT/bench/"

@@ -2,7 +2,7 @@
 // over every case file in bench/scenarios/ (datasets/scenario.h), gating
 // per-case determinism and sanity invariants.
 //
-//   scenario_matrix [--json <path>] [--gate-only] [--tier quick|full|all]
+//   scenario_matrix [--json <path> | --gate-only] [--tier quick|full|all]
 //                   [--case NAME] [--dir DIR] [--threads N]
 //
 // Gates (a violated gate fails the run, every build type):
@@ -18,22 +18,19 @@
 //   - workload: the scenario samples at least one query.
 //
 // --json writes the machine-readable trajectory record consumed by
-// bench/run_bench.sh (checked in as BENCH_scenario.json at the repo root);
+// bench/run_bench.sh (checked in as bench/BENCH_scenario.json);
 // timings are only meaningful — and JSON only permitted — in Release builds.
 // --gate-only runs every gate without writing JSON (the CI scenarios stage).
 // --tier selects which cases run: per-PR CI runs quick (the default), the
 // nightly matrix runs full or all. --case restricts to one case by name.
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <string>
 #include <vector>
 
-#include "common/buildinfo.h"
-#include "common/parallel.h"
+#include "bench_util.h"
 #include "core/metrics.h"
 #include "core/summarize.h"
 #include "datasets/scenario.h"
@@ -46,36 +43,10 @@
 namespace {
 
 using namespace ssum;
+using namespace ssum::bench;
 
 constexpr double kTargetMs = 25.0;  // per timing batch, keeps the bench quick
 constexpr int kBatches = 3;         // min-of-k batches rejects host noise
-
-template <typename Fn>
-double OnceMs(const Fn& fn) {
-  using clock = std::chrono::steady_clock;
-  const auto t0 = clock::now();
-  fn();
-  return std::chrono::duration<double, std::milli>(clock::now() - t0).count();
-}
-
-template <typename Fn>
-double TimeMs(const Fn& fn) {
-  const double once = OnceMs(fn);  // warm-up + calibration
-  int reps = 1;
-  if (once < kTargetMs) {
-    reps = static_cast<int>(kTargetMs / (once > 1e-3 ? once : 1e-3)) + 1;
-    if (reps > 10000) reps = 10000;
-  }
-  double best = 0.0;
-  for (int b = 0; b < kBatches; ++b) {
-    const double ms = OnceMs([&] {
-                        for (int i = 0; i < reps; ++i) fn();
-                      }) /
-                      reps;
-    if (b == 0 || ms < best) best = ms;
-  }
-  return best;
-}
 
 struct KPoint {
   size_t k;
@@ -270,14 +241,14 @@ bool RunCase(const ScenarioSpec& spec, CaseReport* report) {
   }
 
   // --- timings (trajectory record; min-of-k batches) -----------------------
-  report->annotate_serial_ms =
-      TimeMs([&] { (void)AnnotateSchema(*ds.MakeStream()); });
-  report->annotate_sharded_ms = TimeMs([&] {
+  report->annotate_serial_ms = MinOfBatchesMs(
+      kTargetMs, kBatches, [&] { (void)AnnotateSchema(*ds.MakeStream()); });
+  report->annotate_sharded_ms = MinOfBatchesMs(kTargetMs, kBatches, [&] {
     ShardedAnnotateOptions opts;
     opts.parallel.threads = 8;
     (void)AnnotateSchemaSharded(*source, opts);
   });
-  report->summarize_ms = TimeMs([&] {
+  report->summarize_ms = MinOfBatchesMs(kTargetMs, kBatches, [&] {
     SummarizeOptions opts;
     opts.parallel.threads = 8;
     (void)Summarize(ds.schema(), serial, spec.summary_k,
@@ -303,90 +274,20 @@ void PrintCase(const CaseReport& r) {
   std::printf("\n");
 }
 
-void WriteJson(const std::string& path, const std::vector<CaseReport>& reports,
-               bool all_ok) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return;
-  }
-  out << "{\n"
-      << "  \"bench\": \"scenario_matrix\",\n"
-      << "  \"build_type\": \"" << BuildType() << "\",\n"
-      << "  \"hardware_threads\": " << HardwareThreadCount() << ",\n"
-      << "  \"cases_run\": " << reports.size() << ",\n"
-      << "  \"all_gates_ok\": " << (all_ok ? "true" : "false") << ",\n"
-      << "  \"cases\": [\n";
-  for (size_t i = 0; i < reports.size(); ++i) {
-    const CaseReport& r = reports[i];
-    char buf[768];
-    std::snprintf(
-        buf, sizeof(buf),
-        "    {\"name\": \"%s\", \"tier\": \"%s\", \"elements\": %zu, "
-        "\"units\": %llu, \"data_nodes\": %llu, \"queries\": %zu,\n"
-        "     \"k\": %zu, \"summary_size\": %zu,\n"
-        "     \"annotate_serial_ms\": %.4f, \"annotate_sharded_t8_ms\": %.4f, "
-        "\"annotate_speedup\": %.3f, \"summarize_ms\": %.4f,\n"
-        "     \"deterministic\": %s, \"gates_ok\": %s, \"k_sweep\": [",
-        r.name.c_str(), r.tier.c_str(), r.elements,
-        static_cast<unsigned long long>(r.units),
-        static_cast<unsigned long long>(r.data_nodes), r.queries, r.k,
-        r.summary_size, r.annotate_serial_ms, r.annotate_sharded_ms,
-        r.AnnotateSpeedup(), r.summarize_ms,
-        r.deterministic ? "true" : "false", r.gates_ok ? "true" : "false");
-    out << buf;
-    for (size_t j = 0; j < r.k_sweep.size(); ++j) {
-      std::snprintf(buf, sizeof(buf), "{\"k\": %zu, \"coverage\": %.6f}",
-                    r.k_sweep[j].k, r.k_sweep[j].coverage);
-      out << buf << (j + 1 < r.k_sweep.size() ? ", " : "");
-    }
-    out << "]}" << (i + 1 < reports.size() ? ",\n" : "\n");
-  }
-  out << "  ]\n}\n";
-  std::fprintf(stderr, "JSON written to %s\n", path.c_str());
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  ssum::ConsumeThreadsFlag(&argc, argv);
-  std::string json_path;
   std::string tier = "quick";
   std::string only_case;
   std::string dir = SSUM_SCENARIO_CASE_DIR;
-  bool gate_only = false;
-  for (int i = 1; i < argc; ++i) {
-    std::string a = argv[i];
-    if (a == "--json" && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (a.rfind("--json=", 0) == 0) {
-      json_path = a.substr(7);
-    } else if (a == "--tier" && i + 1 < argc) {
-      tier = argv[++i];
-    } else if (a == "--case" && i + 1 < argc) {
-      only_case = argv[++i];
-    } else if (a == "--dir" && i + 1 < argc) {
-      dir = argv[++i];
-    } else if (a == "--gate-only") {
-      gate_only = true;
-    } else {
-      std::fprintf(stderr,
-                   "usage: scenario_matrix [--json <path>] [--gate-only] "
-                   "[--tier quick|full|all] [--case NAME] [--dir DIR]\n");
-      return 2;
-    }
-  }
+  const BenchFlags flags = ParseBenchFlags(
+      argc, argv, "scenario_matrix",
+      {StringFlag("--tier", "quick|full|all", &tier),
+       StringFlag("--case", "NAME", &only_case),
+       StringFlag("--dir", "DIR", &dir)});
   if (tier != "quick" && tier != "full" && tier != "all") {
     std::fprintf(stderr, "scenario_matrix: unknown --tier '%s'\n",
                  tier.c_str());
-    return 2;
-  }
-  if (!json_path.empty() && !IsReleaseBuild()) {
-    std::fprintf(stderr,
-                 "scenario_matrix: refusing to emit gated JSON from a '%s' "
-                 "build; configure with -DCMAKE_BUILD_TYPE=Release "
-                 "(bench/run_bench.sh does this in build-bench/)\n",
-                 BuildType());
     return 2;
   }
 
@@ -408,13 +309,13 @@ int main(int argc, char** argv) {
 
   std::printf("scenario matrix — %u hardware thread(s), %s build, tier %s, "
               "%zu case file(s) in %s\n\n",
-              ssum::HardwareThreadCount(), ssum::BuildType(), tier.c_str(),
+              HardwareThreadCount(), BuildType(), tier.c_str(),
               files.size(), dir.c_str());
 
   bool all_ok = true;
   std::vector<CaseReport> reports;
   for (const std::string& file : files) {
-    auto spec = ssum::LoadScenarioSpecFile(file);
+    auto spec = LoadScenarioSpecFile(file);
     if (!spec.ok()) {
       std::fprintf(stderr, "REGRESSION: %s: %s\n", file.c_str(),
                    spec.status().ToString().c_str());
@@ -435,8 +336,37 @@ int main(int argc, char** argv) {
                  tier.c_str(), only_case.c_str());
     return 2;
   }
-  if (!json_path.empty() && !gate_only) {
-    WriteJson(json_path, reports, all_ok);
+  if (!flags.json_path.empty()) {
+    JsonRecord rec("scenario_matrix");
+    rec.Field("cases_run", reports.size())
+        .Field("all_gates_ok", all_ok)
+        .Open("cases", '[');
+    for (const CaseReport& r : reports) {
+      rec.Open("", '{')
+          .Field("name", r.name)
+          .Field("tier", r.tier)
+          .Field("elements", r.elements)
+          .Field("units", r.units)
+          .Field("data_nodes", r.data_nodes)
+          .Field("queries", r.queries)
+          .Field("k", r.k)
+          .Field("summary_size", r.summary_size)
+          .Field("annotate_serial_ms", r.annotate_serial_ms)
+          .Field("annotate_sharded_t8_ms", r.annotate_sharded_ms)
+          .Field("annotate_speedup", r.AnnotateSpeedup(), 3)
+          .Field("summarize_ms", r.summarize_ms)
+          .Field("deterministic", r.deterministic)
+          .Field("gates_ok", r.gates_ok)
+          .Open("k_sweep", '[');
+      for (const KPoint& p : r.k_sweep) {
+        rec.Open("", '{')
+            .Field("k", p.k)
+            .Field("coverage", p.coverage, 6)
+            .Close();
+      }
+      rec.Close().Close();
+    }
+    if (!rec.Write(flags.json_path)) return 1;
   }
   if (!all_ok) {
     std::fprintf(stderr, "BENCH GATE FAILED (see lines above)\n");

@@ -12,25 +12,23 @@
 //   * a request whose deadline_ms is smaller than a cold run aborts with
 //     the deadline error while the server keeps serving.
 //
-//   serve_scaling [--json <path>] [--gate-only] [--clients N]
+//   serve_scaling [--json <path> | --gate-only] [--threads N] [--clients N]
 //                 [--duration-ms N]
 //
 // --json writes the machine-readable record consumed by bench/run_bench.sh
 // (checked in as bench/BENCH_serve.json). --gate-only shortens the load
-// phase for CI; the gates are identical.
+// phase for CI and writes no record; the gates are identical. --clients and
+// --duration-ms must be >= 1.
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "common/buildinfo.h"
+#include "bench_util.h"
 #include "core/summarize.h"
 #include "core/summary_io.h"
 #include "datasets/registry.h"
@@ -40,6 +38,7 @@
 namespace {
 
 using namespace ssum;
+using namespace ssum::bench;
 
 constexpr double kDatasetScale = 0.05;  // ServeServerOptions default
 constexpr double kMaxP99Ms = 5.0;
@@ -244,33 +243,13 @@ bool CheckDeadline(const std::string& addr) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string json_path;
-  bool gate_only = false;
   int clients = 8;
   int duration_ms = 0;
-  for (int i = 1; i < argc; ++i) {
-    if (!std::strcmp(argv[i], "--json") && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (!std::strcmp(argv[i], "--gate-only")) {
-      gate_only = true;
-    } else if (!std::strcmp(argv[i], "--clients") && i + 1 < argc) {
-      clients = std::atoi(argv[++i]);
-    } else if (!std::strcmp(argv[i], "--duration-ms") && i + 1 < argc) {
-      duration_ms = std::atoi(argv[++i]);
-    }
-  }
-  if (duration_ms <= 0) duration_ms = gate_only ? 600 : 2500;
-  if (!json_path.empty() && !ssum::IsReleaseBuild()) {
-    std::fprintf(stderr,
-                 "serve_scaling: refusing to emit gated JSON from a '%s' "
-                 "build; configure with -DCMAKE_BUILD_TYPE=Release\n",
-                 ssum::BuildType());
-    return 2;
-  }
-
-  const std::string cache_dir =
-      (std::filesystem::temp_directory_path() / "ssum_serve_bench").string();
-  std::filesystem::remove_all(cache_dir);
+  const BenchFlags flags =
+      ParseBenchFlags(argc, argv, "serve_scaling",
+                      {IntFlag("--clients", &clients, 1),
+                       IntFlag("--duration-ms", &duration_ms, 1)});
+  if (duration_ms == 0) duration_ms = flags.gate_only ? 600 : 2500;
 
   std::printf("serve_scaling: %d clients, %d ms load phase\n", clients,
               duration_ms);
@@ -278,8 +257,9 @@ int main(int argc, char** argv) {
   std::vector<std::string> references;
   for (size_t k : kSummarySizes) references.push_back(ReferencePayload(k));
 
+  const ScratchDir cache_dir("serve_bench");
   ServeServerOptions options;
-  options.cache_dir = cache_dir;
+  options.cache_dir = cache_dir.path();
   options.workers = 4;
   options.queue_depth = 64;
   options.max_connections = static_cast<uint32_t>(clients) + 8;
@@ -344,30 +324,23 @@ int main(int argc, char** argv) {
               load.qps >= kMinQps ? "ok" : "FAIL", deadline_ok ? "ok" : "FAIL",
               overload_ok ? "ok" : "FAIL");
 
-  if (!json_path.empty()) {
-    std::ofstream out(json_path, std::ios::trunc);
-    out << "{\n"
-        << "  \"bench\": \"serve_scaling\",\n"
-        << "  \"build_type\": \"" << ssum::BuildType() << "\",\n"
-        << "  \"dataset\": \"XMark\",\n"
-        << "  \"scale\": " << kDatasetScale << ",\n"
-        << "  \"clients\": " << clients << ",\n"
-        << "  \"duration_ms\": " << duration_ms << ",\n"
-        << "  \"requests\": " << load.requests << ",\n"
-        << "  \"qps\": " << load.qps << ",\n"
-        << "  \"p50_ms\": " << load.p50_ms << ",\n"
-        << "  \"p99_ms\": " << load.p99_ms << ",\n"
-        << "  \"bit_identical\": " << (load.bit_identical ? "true" : "false")
-        << ",\n"
-        << "  \"deadline_ok\": " << (deadline_ok ? "true" : "false") << ",\n"
-        << "  \"overload_ok\": " << (overload_ok ? "true" : "false") << ",\n"
-        << "  \"gate_max_p99_ms\": " << kMaxP99Ms << ",\n"
-        << "  \"gate_min_qps\": " << kMinQps << ",\n"
-        << "  \"ok\": " << (ok ? "true" : "false") << "\n"
-        << "}\n";
-    std::printf("  wrote %s\n", json_path.c_str());
+  if (!flags.json_path.empty()) {
+    JsonRecord rec("serve_scaling");
+    rec.Field("dataset", "XMark")
+        .Field("scale", kDatasetScale, 2)
+        .Field("clients", clients)
+        .Field("duration_ms", duration_ms)
+        .Field("requests", load.requests)
+        .Field("qps", load.qps, 1)
+        .Field("p50_ms", load.p50_ms)
+        .Field("p99_ms", load.p99_ms)
+        .Field("bit_identical", load.bit_identical)
+        .Field("deadline_ok", deadline_ok)
+        .Field("overload_ok", overload_ok)
+        .Field("gate_max_p99_ms", kMaxP99Ms, 1)
+        .Field("gate_min_qps", kMinQps, 1)
+        .Field("ok", ok);
+    if (!rec.Write(flags.json_path)) return 1;
   }
-
-  std::filesystem::remove_all(cache_dir);
   return ok ? 0 : 1;
 }

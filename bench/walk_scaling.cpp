@@ -3,7 +3,7 @@
 // the affinity (Formula 2) and coverage (Formula 3) factor sets of the
 // XMark, TPC-H, and MiMI schemas.
 //
-//   walk_scaling [--json <path>] [--gate-only] [--threads N]
+//   walk_scaling [--json <path> | --gate-only] [--threads N]
 //
 // Gates (a violated gate fails the run):
 //   - determinism (hard, every build type): for every source row of every
@@ -17,14 +17,12 @@
 //     reach the checked-in BENCH_walk.json.
 //
 // --json writes the machine-readable trajectory record consumed by
-// bench/run_bench.sh (checked in as BENCH_walk.json at the repo root).
+// bench/run_bench.sh (checked in as bench/BENCH_walk.json).
 // --gate-only runs every gate without writing JSON (the CI bench stage).
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <memory>
 #include <span>
 #include <string>
@@ -32,8 +30,7 @@
 #include <utility>
 #include <vector>
 
-#include "common/buildinfo.h"
-#include "common/parallel.h"
+#include "bench_util.h"
 #include "core/affinity.h"
 #include "core/coverage.h"
 #include "datasets/mimi.h"
@@ -44,83 +41,11 @@
 namespace {
 
 using namespace ssum;
+using namespace ssum::bench;
 
 constexpr double kTargetMs = 25.0;  // per timing batch, keeps the bench quick
 constexpr int kBatches = 5;         // min-of-k batches rejects host noise
 constexpr double kRequiredSpeedup = 2.0;
-
-template <typename Fn>
-double OnceMs(const Fn& fn) {
-  using clock = std::chrono::steady_clock;
-  const auto t0 = clock::now();
-  fn();
-  return std::chrono::duration<double, std::milli>(clock::now() - t0).count();
-}
-
-template <typename Fn>
-int CalibrateReps(const Fn& fn) {
-  const double once = OnceMs(fn);  // warm-up run
-  if (once >= kTargetMs) return 1;
-  const int reps =
-      static_cast<int>(kTargetMs / (once > 1e-3 ? once : 1e-3)) + 1;
-  return reps > 10000 ? 10000 : reps;
-}
-
-template <typename Fn>
-double TimeMs(const Fn& fn) {
-  const int reps = CalibrateReps(fn);
-  double best = 0.0;
-  for (int b = 0; b < kBatches; ++b) {
-    const double ms = OnceMs([&] {
-                        for (int i = 0; i < reps; ++i) fn();
-                      }) /
-                      reps;
-    if (b == 0 || ms < best) best = ms;
-  }
-  return best;
-}
-
-/// Times two functions with their batches interleaved (A, B, A, B, ...),
-/// taking each side's per-rep minimum. Host-wide noise (frequency drift,
-/// a co-scheduled process) then hits both sides alike instead of skewing
-/// whichever happened to run during the slow window — which matters for a
-/// gated ratio on a 1-core container.
-template <typename FnA, typename FnB>
-std::pair<double, double> TimePairMs(const FnA& a, const FnB& b) {
-  const int reps_a = CalibrateReps(a);
-  const int reps_b = CalibrateReps(b);
-  double best_a = 0.0, best_b = 0.0;
-  for (int batch = 0; batch < kBatches; ++batch) {
-    const double ms_a = OnceMs([&] {
-                          for (int i = 0; i < reps_a; ++i) a();
-                        }) /
-                        reps_a;
-    const double ms_b = OnceMs([&] {
-                          for (int i = 0; i < reps_b; ++i) b();
-                        }) /
-                        reps_b;
-    if (batch == 0 || ms_a < best_a) best_a = ms_a;
-    if (batch == 0 || ms_b < best_b) best_b = ms_b;
-  }
-  return {best_a, best_b};
-}
-
-/// The coverage step factors (edge_affinity(u->v) * W(v->u)), mirroring
-/// CoverageMatrix::TryCompute.
-EdgeFactors CoverageFactors(const SchemaGraph& graph,
-                            const EdgeMetrics& metrics) {
-  EdgeFactors factors(graph.size());
-  for (ElementId u = 0; u < graph.size(); ++u) {
-    const auto& nbrs = graph.neighbors(u);
-    factors[u].resize(nbrs.size());
-    for (size_t i = 0; i < nbrs.size(); ++i) {
-      const ElementId v = nbrs[i].other;
-      const uint32_t j = metrics.mirror[u][i];
-      factors[u][i] = metrics.edge_affinity[u][i] * metrics.w[v][j];
-    }
-  }
-  return factors;
-}
 
 struct KernelReport {
   std::string kernel;  // "affinity" | "coverage"
@@ -186,7 +111,8 @@ KernelReport RunKernel(const std::string& kernel, const SchemaGraph& graph,
 
   // Timings: identical work per iteration (all n rows), single thread,
   // interleaved so the gated ratio is noise-resistant.
-  std::tie(report.scalar_ms, report.batched_ms) = TimePairMs(
+  std::tie(report.scalar_ms, report.batched_ms) = MinOfBatchesPairMs(
+      kTargetMs, kBatches,
       [&] {
         for (ElementId s = 0; s < n; ++s) {
           auto row = MaxProductWalks(graph, factors, s, walk);
@@ -214,7 +140,7 @@ DatasetReport RunDataset(const std::string& name, const SchemaGraph& graph,
                                      /*divide_by_steps=*/true,
                                      deterministic_ok));
   report.kernels.push_back(RunKernel("coverage", graph,
-                                     CoverageFactors(graph, metrics),
+                                     CoverageStepFactors(graph, metrics),
                                      /*divide_by_steps=*/false,
                                      deterministic_ok));
 
@@ -236,11 +162,11 @@ DatasetReport RunDataset(const std::string& name, const SchemaGraph& graph,
     std::fprintf(stderr, "MISMATCH: %s matrices diverged across threads\n",
                  name.c_str());
   }
-  report.kernels[0].batched_t8_ms = TimeMs([&] {
+  report.kernels[0].batched_t8_ms = MinOfBatchesMs(kTargetMs, kBatches, [&] {
     auto m = AffinityMatrix::TryCompute(graph, metrics, {}, t8);
     (void)m;
   });
-  report.kernels[1].batched_t8_ms = TimeMs([&] {
+  report.kernels[1].batched_t8_ms = MinOfBatchesMs(kTargetMs, kBatches, [&] {
     auto m = CoverageMatrix::TryCompute(graph, annotations, metrics, {}, t8);
     (void)m;
   });
@@ -258,43 +184,6 @@ void PrintReport(const DatasetReport& r) {
   }
 }
 
-void WriteJson(const std::string& path,
-               const std::vector<DatasetReport>& reports, bool deterministic,
-               double gated_speedup) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return;
-  }
-  out << "{\n"
-      << "  \"bench\": \"walk_scaling\",\n"
-      << "  \"build_type\": \"" << BuildType() << "\",\n"
-      << "  \"hardware_threads\": " << HardwareThreadCount() << ",\n"
-      << "  \"deterministic\": " << (deterministic ? "true" : "false") << ",\n"
-      << "  \"gate\": {\"min_single_thread_speedup\": " << kRequiredSpeedup
-      << ", \"dataset\": \"MiMI\", \"measured\": " << gated_speedup << "},\n"
-      << "  \"datasets\": [\n";
-  for (size_t d = 0; d < reports.size(); ++d) {
-    const DatasetReport& r = reports[d];
-    out << "    {\"name\": \"" << r.name << "\", \"elements\": " << r.elements
-        << ", \"adjacency_records\": " << r.edges << ",\n     \"kernels\": [";
-    for (size_t i = 0; i < r.kernels.size(); ++i) {
-      const KernelReport& k = r.kernels[i];
-      char buf[240];
-      std::snprintf(buf, sizeof(buf),
-                    "{\"kernel\": \"%s\", \"scalar_ms\": %.4f, "
-                    "\"batched_ms\": %.4f, \"speedup\": %.3f, "
-                    "\"matrix_t8_ms\": %.4f, \"deterministic\": %s}",
-                    k.kernel.c_str(), k.scalar_ms, k.batched_ms, k.Speedup(),
-                    k.batched_t8_ms, k.deterministic ? "true" : "false");
-      out << buf << (i + 1 < r.kernels.size() ? ", " : "");
-    }
-    out << "]}" << (d + 1 < reports.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-  std::fprintf(stderr, "JSON written to %s\n", path.c_str());
-}
-
 Annotations Annotate(InstanceStream& stream) {
   auto res = AnnotateSchema(stream);
   return std::move(*res);
@@ -303,34 +192,10 @@ Annotations Annotate(InstanceStream& stream) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  ssum::ConsumeThreadsFlag(&argc, argv);
-  std::string json_path;
-  bool gate_only = false;
-  for (int i = 1; i < argc; ++i) {
-    std::string a = argv[i];
-    if (a == "--json" && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (a.rfind("--json=", 0) == 0) {
-      json_path = a.substr(7);
-    } else if (a == "--gate-only") {
-      gate_only = true;
-    } else {
-      std::fprintf(stderr,
-                   "usage: walk_scaling [--json <path>] [--gate-only]\n");
-      return 2;
-    }
-  }
-  if (!json_path.empty() && !IsReleaseBuild()) {
-    std::fprintf(stderr,
-                 "walk_scaling: refusing to emit gated JSON from a '%s' "
-                 "build; configure with -DCMAKE_BUILD_TYPE=Release "
-                 "(bench/run_bench.sh does this in build-bench/)\n",
-                 BuildType());
-    return 2;
-  }
+  const BenchFlags flags = ParseBenchFlags(argc, argv, "walk_scaling");
 
   std::printf("walk engine scaling — %u hardware thread(s), %s build\n\n",
-              ssum::HardwareThreadCount(), ssum::BuildType());
+              HardwareThreadCount(), BuildType());
 
   bool deterministic_ok = true;
   std::vector<DatasetReport> reports;
@@ -369,7 +234,7 @@ int main(int argc, char** argv) {
   }
 
   bool gates_ok = true;
-  if (ssum::IsReleaseBuild()) {
+  if (IsReleaseBuild()) {
     if (gated_speedup < kRequiredSpeedup) {
       std::fprintf(stderr,
                    "REGRESSION: batched walk engine %.2fx < required %.1fx "
@@ -378,11 +243,37 @@ int main(int argc, char** argv) {
       gates_ok = false;
     }
   } else {
-    std::printf("\n(speedup gate skipped: %s build)\n", ssum::BuildType());
+    std::printf("\n(speedup gate skipped: %s build)\n", BuildType());
   }
 
-  if (!json_path.empty() && !gate_only) {
-    WriteJson(json_path, reports, deterministic_ok, gated_speedup);
+  if (!flags.json_path.empty()) {
+    JsonRecord rec("walk_scaling");
+    rec.Field("deterministic", deterministic_ok)
+        .Open("gate", '{')
+        .Field("min_single_thread_speedup", kRequiredSpeedup, 1)
+        .Field("dataset", "MiMI")
+        .Field("measured", gated_speedup, 3)
+        .Close()
+        .Open("datasets", '[');
+    for (const DatasetReport& r : reports) {
+      rec.Open("", '{')
+          .Field("name", r.name)
+          .Field("elements", r.elements)
+          .Field("adjacency_records", r.edges)
+          .Open("kernels", '[');
+      for (const KernelReport& k : r.kernels) {
+        rec.Open("", '{')
+            .Field("kernel", k.kernel)
+            .Field("scalar_ms", k.scalar_ms)
+            .Field("batched_ms", k.batched_ms)
+            .Field("speedup", k.Speedup(), 3)
+            .Field("matrix_t8_ms", k.batched_t8_ms)
+            .Field("deterministic", k.deterministic)
+            .Close();
+      }
+      rec.Close().Close();
+    }
+    if (!rec.Write(flags.json_path)) return 1;
   }
   if (!deterministic_ok) {
     std::fprintf(stderr,

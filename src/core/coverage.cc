@@ -2,16 +2,10 @@
 
 namespace ssum {
 
-Result<CoverageMatrix> CoverageMatrix::TryCompute(
-    const SchemaGraph& graph, const Annotations& annotations,
-    const EdgeMetrics& metrics, const CoverageOptions& options,
-    const ParallelOptions& parallel) {
-  const size_t n = graph.size();
-  // Step factor for u -> v (adjacency entry i at u):
-  //   edge_affinity(u->v) * W(v->u)
-  // where W(v->u) is read through the mirror index.
-  EdgeFactors factors(n);
-  for (ElementId u = 0; u < n; ++u) {
+EdgeFactors CoverageStepFactors(const SchemaGraph& graph,
+                                const EdgeMetrics& metrics) {
+  EdgeFactors factors(graph.size());
+  for (ElementId u = 0; u < graph.size(); ++u) {
     const auto& nbrs = graph.neighbors(u);
     factors[u].resize(nbrs.size());
     for (size_t i = 0; i < nbrs.size(); ++i) {
@@ -20,6 +14,15 @@ Result<CoverageMatrix> CoverageMatrix::TryCompute(
       factors[u][i] = metrics.edge_affinity[u][i] * metrics.w[v][j];
     }
   }
+  return factors;
+}
+
+Result<CoverageMatrix> CoverageMatrix::TryCompute(
+    const SchemaGraph& graph, const Annotations& annotations,
+    const EdgeMetrics& metrics, const CoverageOptions& options,
+    const ParallelOptions& parallel) {
+  const size_t n = graph.size();
+  const EdgeFactors factors = CoverageStepFactors(graph, metrics);
   CoverageMatrix out;
   out.m_ = SquareMatrix(n, 0.0);
   WalkSearchOptions walk;

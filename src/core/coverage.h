@@ -13,6 +13,12 @@ struct CoverageOptions {
   uint32_t max_steps = 16;
 };
 
+/// The per-step factors of the coverage walk (paper Formula 3): for
+/// adjacency entry i at u (the step u -> v), edge_affinity(u->v) * W(v->u),
+/// with W(v->u) read through the mirror index.
+EdgeFactors CoverageStepFactors(const SchemaGraph& graph,
+                                const EdgeMetrics& metrics);
+
 /// Dense all-pairs element coverage (paper Formula 3):
 ///
 ///   C(a->b) = Card_b * max over paths of

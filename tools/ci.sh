@@ -38,12 +38,12 @@
 #          `ssum gen`. SCENARIO_TIER overrides the tier (the nightly
 #          comprehensive matrix sets SCENARIO_TIER=full)
 #   bench  bench-sanity gates on a dedicated Release tree (build-bench):
-#          parallel_scaling, annotate_scaling, walk_scaling, approx_scaling,
-#          serve_scaling, and delta_scaling in gate-only mode (determinism +
-#          regression + walk-speedup + approx-quality/speedup +
-#          serve-latency/QPS + incremental-delta gates; the checked-in
-#          BENCH_*.json are NOT updated). SSUM_NATIVE=ON builds the tree
-#          with -march=native (the CI native bench leg)
+#          parallel_scaling, annotate_scaling, walk_scaling, cache_warm,
+#          approx_scaling, serve_scaling, and delta_scaling in gate-only mode
+#          (determinism + regression + walk-speedup + cache warm-start +
+#          approx-quality/speedup + serve-latency/QPS + incremental-delta
+#          gates; the checked-in BENCH_*.json are NOT updated). SSUM_NATIVE=ON
+#          builds the tree with -march=native (the CI native bench leg)
 #   perfbench  build-only check of the end-to-end benchmark: configures
 #          perfbench/ (which compiles the library sources itself) in
 #          Release into its own tree and compiles it, without running it,
@@ -352,15 +352,12 @@ stage_bench() {
   local bench_build="$BUILD-bench"
   configure "$bench_build" -DCMAKE_BUILD_TYPE=Release -DSSUM_NATIVE="$native"
   cmake --build "$bench_build" --target parallel_scaling annotate_scaling \
-    walk_scaling approx_scaling serve_scaling delta_scaling -j "$JOBS"
-  # parallel_scaling has no gate-only flag: its determinism and
-  # no-regression gates are always hard and it only writes JSON when asked,
-  # so running it without --json IS the gate. annotate_scaling,
-  # walk_scaling, and approx_scaling add their regression gates via
-  # --gate-only.
-  "$bench_build/bench/parallel_scaling"
+    walk_scaling cache_warm approx_scaling serve_scaling delta_scaling \
+    -j "$JOBS"
+  "$bench_build/bench/parallel_scaling" --gate-only
   "$bench_build/bench/annotate_scaling" --gate-only
   "$bench_build/bench/walk_scaling" --gate-only
+  "$bench_build/bench/cache_warm" --gate-only
   "$bench_build/bench/approx_scaling" --gate-only
   "$bench_build/bench/serve_scaling" --gate-only
   "$bench_build/bench/delta_scaling" --gate-only
