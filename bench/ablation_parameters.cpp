@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <set>
 
+#include "bench_util.h"
 #include "common/parallel.h"
 #include "common/string_util.h"
 #include "core/metrics.h"
@@ -153,7 +154,7 @@ int SweepConvergenceThreshold(const DatasetBundle& bundle) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  ssum::ConsumeThreadsFlag(&argc, argv);  // --threads N
+  bench::ConsumeThreadsFlagOrExit(&argc, argv);
   auto bundle = LoadDataset(DatasetKind::kMimi, 0.2);
   if (!bundle.ok()) {
     std::fprintf(stderr, "load failed: %s\n",

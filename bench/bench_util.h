@@ -163,7 +163,7 @@ inline ValueFlag StringFlag(std::string name, std::string metavar,
 /// first). See the top of this file for what exits 2.
 inline BenchFlags ParseBenchFlags(int argc, char** argv, const char* bench,
                                   std::vector<ValueFlag> extra = {}) {
-  ConsumeThreadsFlag(&argc, argv);
+  const Result<uint32_t> threads = ConsumeThreadsFlag(&argc, argv);
   BenchFlags flags;
   extra.insert(extra.begin(), StringFlag("--json", "PATH", &flags.json_path));
   const auto usage = [&](const std::string& error) {
@@ -175,6 +175,7 @@ inline BenchFlags ParseBenchFlags(int argc, char** argv, const char* bench,
     std::fprintf(stderr, "%s: %s\n%s\n", bench, error.c_str(), line.c_str());
     std::exit(2);
   };
+  if (!threads.ok()) usage(threads.status().message());
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
     if (arg == "--gate-only") {
@@ -211,6 +212,16 @@ inline BenchFlags ParseBenchFlags(int argc, char** argv, const char* bench,
     std::exit(2);
   }
   return flags;
+}
+
+/// Applies and removes --threads for a bench that takes no other harness
+/// flags; a missing or bad value prints the reason and exits 2.
+inline void ConsumeThreadsFlagOrExit(int* argc, char** argv) {
+  if (const Result<uint32_t> threads = ConsumeThreadsFlag(argc, argv);
+      !threads.ok()) {
+    std::fprintf(stderr, "%s\n", threads.status().ToString().c_str());
+    std::exit(2);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@
 
 #include <cstdio>
 
+#include "bench_util.h"
 #include "common/parallel.h"
 #include "common/string_util.h"
 #include "core/summarize.h"
@@ -22,7 +23,7 @@
 using namespace ssum;
 
 int main(int argc, char** argv) {
-  ssum::ConsumeThreadsFlag(&argc, argv);  // --threads N
+  bench::ConsumeThreadsFlagOrExit(&argc, argv);
   const double focuses[] = {0.0, 0.25, 0.5, 0.75, 1.0};
   TablePrinter table({"focus", "XMark saving%", "TPC-H saving%",
                       "MiMI saving%"});

@@ -5,6 +5,7 @@
 
 #include <cstdio>
 
+#include "bench_util.h"
 #include "common/parallel.h"
 #include "common/string_util.h"
 #include "core/multilevel.h"
@@ -16,7 +17,7 @@
 using namespace ssum;
 
 int main(int argc, char** argv) {
-  ssum::ConsumeThreadsFlag(&argc, argv);  // --threads N
+  bench::ConsumeThreadsFlagOrExit(&argc, argv);
   TablePrinter table({"dataset", "flat k=6", "flat k=18", "two-level 18->6",
                       "best-first (no summary)"});
   for (DatasetKind kind : {DatasetKind::kXMark, DatasetKind::kMimi}) {

@@ -3,6 +3,7 @@
 
 #include <cstdio>
 
+#include "bench_util.h"
 #include "common/parallel.h"
 #include "common/string_util.h"
 #include "eval/experiment.h"
@@ -10,7 +11,7 @@
 using namespace ssum;
 
 int main(int argc, char** argv) {
-  ssum::ConsumeThreadsFlag(&argc, argv);  // --threads N
+  bench::ConsumeThreadsFlagOrExit(&argc, argv);
   auto bundle = LoadDataset(DatasetKind::kMimi);
   if (!bundle.ok()) {
     std::fprintf(stderr, "MiMI load failed: %s\n",

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "bench_util.h"
 #include "common/parallel.h"
 #include "common/string_util.h"
 #include "eval/experiment.h"
@@ -13,7 +14,7 @@
 using namespace ssum;
 
 int main(int argc, char** argv) {
-  ssum::ConsumeThreadsFlag(&argc, argv);  // --threads N
+  bench::ConsumeThreadsFlagOrExit(&argc, argv);
   std::vector<StructureVsDataRow> rows;
   for (DatasetKind kind :
        {DatasetKind::kXMark, DatasetKind::kTpch, DatasetKind::kMimi}) {

@@ -2,7 +2,7 @@
 //  - annotateSchema throughput vs database size (the paper's linearity claim)
 //  - importance iteration cost vs neighborhood factor p
 //  - affinity / coverage matrix construction, walk-bound and thread ablations
-//  - dominance computation
+//  - dominance computation and greedy MaxCoverage selection
 //  - end-to-end summarize latency (the paper: "within 5 minutes")
 //
 // Emits machine-readable JSON via the standard google-benchmark flags
@@ -19,6 +19,7 @@
 #include <span>
 #include <vector>
 
+#include "bench_util.h"
 #include "common/buildinfo.h"
 #include "common/parallel.h"
 #include "core/summarize.h"
@@ -169,11 +170,26 @@ void BM_Dominance(benchmark::State& state) {
   EdgeMetrics metrics = EdgeMetrics::Compute(ds.schema(), ann);
   auto cov = CoverageMatrix::TryCompute(ds.schema(), ann, metrics).ValueOrDie();
   for (auto _ : state) {
-    DominanceResult d = ComputeDominance(ds.schema(), ann, cov);
+    auto d = TryComputeDominance(ds.schema(), ann, cov);
     benchmark::DoNotOptimize(d);
   }
 }
 BENCHMARK(BM_Dominance)->Unit(benchmark::kMillisecond);
+
+/// Greedy MaxCoverage selection alone: an enumeration budget of 0 forces
+/// the greedy path on the dominance candidates.
+void BM_GreedyMaxCoverage(benchmark::State& state) {
+  const XMarkDataset& ds = SharedXMark(0.05);
+  const Annotations& ann = SharedAnnotations(0.05);
+  SummarizeOptions opts;
+  opts.max_coverage_enumeration_budget = 0;
+  auto context = SummarizerContext::Make(ds.schema(), ann, opts).ValueOrDie();
+  for (auto _ : state) {
+    auto selected = SelectMaxCoverage(context, 10);
+    benchmark::DoNotOptimize(selected);
+  }
+}
+BENCHMARK(BM_GreedyMaxCoverage)->Unit(benchmark::kMillisecond);
 
 void BM_SummarizeEndToEnd(benchmark::State& state) {
   const XMarkDataset& ds = SharedXMark(0.05);
@@ -287,7 +303,7 @@ BENCHMARK(BM_WalkEngineBatched)->Unit(benchmark::kMillisecond);
 // request from a non-release build is refused with exit 2
 // (bench/run_bench.sh builds the dedicated Release tree in build-bench/).
 int main(int argc, char** argv) {
-  ssum::ConsumeThreadsFlag(&argc, argv);
+  bench::ConsumeThreadsFlagOrExit(&argc, argv);
   if (!ssum::IsReleaseBuild()) {
     for (int i = 1; i < argc; ++i) {
       if (std::strncmp(argv[i], "--benchmark_out", 15) == 0) {

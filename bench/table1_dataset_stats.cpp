@@ -3,6 +3,7 @@
 
 #include <cstdio>
 
+#include "bench_util.h"
 #include "common/parallel.h"
 #include "common/string_util.h"
 #include "core/importance.h"
@@ -12,7 +13,7 @@
 using namespace ssum;
 
 int main(int argc, char** argv) {
-  ssum::ConsumeThreadsFlag(&argc, argv);  // --threads N
+  bench::ConsumeThreadsFlagOrExit(&argc, argv);
   TablePrinter table({"", "XMark", "TPC-H", "MiMI"});
   std::vector<DatasetBundle> bundles;
   for (DatasetKind kind :

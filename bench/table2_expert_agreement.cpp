@@ -3,6 +3,7 @@
 
 #include <cstdio>
 
+#include "bench_util.h"
 #include "common/parallel.h"
 #include "core/summarize.h"
 #include "datasets/experts.h"
@@ -59,7 +60,7 @@ int RunPanel(const char* title, const DatasetBundle& bundle,
 }  // namespace
 
 int main(int argc, char** argv) {
-  ssum::ConsumeThreadsFlag(&argc, argv);  // --threads N
+  bench::ConsumeThreadsFlagOrExit(&argc, argv);
   std::printf("Table 2: agreement between automatic and expert summaries\n\n");
   {
     auto bundle = LoadDataset(DatasetKind::kXMark);

@@ -3,6 +3,7 @@
 
 #include <cstdio>
 
+#include "bench_util.h"
 #include "common/parallel.h"
 #include "common/string_util.h"
 #include "eval/experiment.h"
@@ -11,7 +12,7 @@
 using namespace ssum;
 
 int main(int argc, char** argv) {
-  ssum::ConsumeThreadsFlag(&argc, argv);  // --threads N
+  bench::ConsumeThreadsFlagOrExit(&argc, argv);
   TablePrinter table({"Avg. cost", "XMark", "TPC-H", "MiMI"});
   std::vector<QueryDiscoveryRow> rows;
   for (DatasetKind kind :

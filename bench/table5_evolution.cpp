@@ -3,6 +3,7 @@
 
 #include <cstdio>
 
+#include "bench_util.h"
 #include "common/parallel.h"
 #include "common/string_util.h"
 #include "core/summarize.h"
@@ -13,7 +14,7 @@
 using namespace ssum;
 
 int main(int argc, char** argv) {
-  ssum::ConsumeThreadsFlag(&argc, argv);  // --threads N
+  bench::ConsumeThreadsFlagOrExit(&argc, argv);
   const MimiVersion versions[] = {MimiVersion::kApr2004, MimiVersion::kJan2005,
                                   MimiVersion::kJan2006};
   const std::vector<size_t> sizes = {5, 10, 15};

@@ -4,6 +4,7 @@
 
 #include <cstdio>
 
+#include "bench_util.h"
 #include "common/parallel.h"
 #include "baselines/cafp.h"
 #include "baselines/semantic_labels.h"
@@ -15,7 +16,7 @@
 using namespace ssum;
 
 int main(int argc, char** argv) {
-  ssum::ConsumeThreadsFlag(&argc, argv);  // --threads N
+  bench::ConsumeThreadsFlagOrExit(&argc, argv);
   auto bundle = LoadDataset(DatasetKind::kMimi);
   if (!bundle.ok()) {
     std::fprintf(stderr, "MiMI load failed: %s\n",

@@ -3,9 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <exception>
 #include <string>
+
+#include "common/string_util.h"
 
 namespace ssum {
 
@@ -46,29 +49,29 @@ uint32_t ResolveThreadCount(uint32_t requested) {
   return DefaultThreadCount();
 }
 
-uint32_t ConsumeThreadsFlag(int* argc, char** argv) {
+Result<uint32_t> ConsumeThreadsFlag(int* argc, char** argv) {
   uint32_t parsed = 0;
   int out = 1;
   for (int i = 1; i < *argc; ++i) {
     std::string arg = argv[i];
     std::string value;
-    bool matched = false;
-    if (arg == "--threads" && i + 1 < *argc) {
+    if (arg == "--threads") {
+      if (i + 1 == *argc) {
+        return Status::InvalidArgument("missing value for --threads");
+      }
       value = argv[++i];
-      matched = true;
     } else if (arg.rfind("--threads=", 0) == 0) {
       value = arg.substr(10);
-      matched = true;
-    }
-    if (matched) {
-      char* end = nullptr;
-      long v = std::strtol(value.c_str(), &end, 10);
-      if (end != value.c_str() && *end == '\0' && v > 0) {
-        parsed = static_cast<uint32_t>(v);
-      }
+    } else {
+      argv[out++] = argv[i];
       continue;
     }
-    argv[out++] = argv[i];
+    const Result<int64_t> v = ParseInt64(value);
+    if (!v.ok() || *v <= 0 || *v > UINT32_MAX) {
+      return Status::InvalidArgument("--threads: '" + value +
+                                     "' is not a positive integer");
+    }
+    parsed = static_cast<uint32_t>(*v);
   }
   *argc = out;
   argv[*argc] = nullptr;

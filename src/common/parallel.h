@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/deadline.h"
+#include "common/result.h"
 #include "common/status.h"
 
 namespace ssum {
@@ -46,8 +47,10 @@ uint32_t ResolveThreadCount(uint32_t requested);
 
 /// Parses and removes "--threads N" / "--threads=N" from an argv vector
 /// (before e.g. benchmark::Initialize consumes it) and applies the value via
-/// SetDefaultThreadCount. Returns the parsed count, 0 when absent.
-uint32_t ConsumeThreadsFlag(int* argc, char** argv);
+/// SetDefaultThreadCount. Returns the parsed count, 0 when absent. A missing
+/// value or one that is not a positive integer is kInvalidArgument and
+/// leaves the default thread count as it was.
+Result<uint32_t> ConsumeThreadsFlag(int* argc, char** argv);
 
 /// Fixed-size thread pool with a FIFO work queue. One shared instance backs
 /// every ParallelFor call (ThreadPool::Shared()); standalone pools are for

@@ -2,6 +2,8 @@
 
 #include <vector>
 
+#include "common/parallel.h"
+#include "common/result.h"
 #include "core/coverage.h"
 #include "schema/schema_graph.h"
 #include "stats/annotate.h"
@@ -39,6 +41,18 @@ bool Dominates(const SchemaGraph& graph, const Annotations& annotations,
 /// treated as parents, per the paper's footnote), the ancestor playing the
 /// dominator role. Missing some dominance facts is harmless (the heuristic
 /// only prunes); fabricating them would not be.
+///
+/// The result is bit-identical to evaluating Dominates for every pair, with
+/// `pairs` ordered by dominated element, then by ExtendedAncestors order, at
+/// any `parallel.threads`. An expired `parallel.deadline` returns
+/// kDeadlineExceeded (checked before the first descendant block and between
+/// blocks), never a partial result.
+Result<DominanceResult> TryComputeDominance(
+    const SchemaGraph& graph, const Annotations& annotations,
+    const CoverageMatrix& coverage, const ParallelOptions& parallel = {});
+
+/// TryComputeDominance with no deadline. Kept only because the end-to-end
+/// benchmark (perfbench/) compiles against it.
 DominanceResult ComputeDominance(const SchemaGraph& graph,
                                  const Annotations& annotations,
                                  const CoverageMatrix& coverage);

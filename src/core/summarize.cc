@@ -1,6 +1,8 @@
 #include "core/summarize.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <queue>
 
 #include "common/logging.h"
@@ -158,7 +160,8 @@ Status SummarizerContext::Init(const SchemaGraph& graph,
     InstallMatrix(cache, ArtifactCache::kCoverageFamily, key,
                   coverage_.matrix(), "coverage");
   }
-  dominance_ = ComputeDominance(graph, annotations, coverage_);
+  SSUM_ASSIGN_OR_RETURN(dominance_, TryComputeDominance(graph, annotations,
+                                                        coverage_, parallel));
   return Status::OK();
 }
 
@@ -310,32 +313,83 @@ Result<std::vector<ElementId>> ExactMaxCoverage(
   return out;
 }
 
+/// `take ? a : b` without a branch.
+inline double Pick(bool take, double a, double b) {
+  const uint64_t mask = -static_cast<uint64_t>(take);
+  return std::bit_cast<double>((std::bit_cast<uint64_t>(a) & mask) |
+                               (std::bit_cast<uint64_t>(b) & ~mask));
+}
+
+/// Greedy MaxCoverage. CoverageOfSet folds the set's members, in order,
+/// into one state per non-root element e: is e a member, and the best
+/// (affinity, coverage) representative so far. The loop keeps that state for
+/// the chosen set, as `best_aff[e]`, `member[e]` and `contrib[e]` (what e
+/// adds to the sum: C(e->e) for a member, the representative's coverage
+/// when there is one, else +0.0). A trial insertion of candidate c then
+/// folds in c alone and sums the contributions in ascending e: that is
+/// CoverageOfSet(chosen + {c}) bit for bit (adding +0.0 where CoverageOfSet
+/// adds nothing leaves a sum that started at +0.0 unchanged), in O(n)
+/// instead of O(n * |chosen|).
 Result<std::vector<ElementId>> GreedyMaxCoverage(
     const SummarizerContext& context, const std::vector<ElementId>& cands,
     size_t k) {
+  const SchemaGraph& graph = context.graph();
+  const SquareMatrix& affinity = context.affinity().matrix();
+  const SquareMatrix& coverage = context.coverage().matrix();
+  const size_t n = graph.size();
+  const ElementId root = graph.root();
+  std::vector<double> best_aff(n, 0.0);
+  std::vector<double> contrib(n, 0.0);
+  std::vector<uint8_t> member(n, 0);
+  // CoverageOfSet's tie rule: does a member with affinity `a` toward e and
+  // coverage `cv` of e replace e's representative? Members keep themselves.
+  auto replaces = [&](ElementId e, double a, double cv) -> bool {
+    const bool better = (a > best_aff[e]) | ((a == best_aff[e]) & (a > 0.0) &
+                                             (cv > contrib[e]));
+    return (member[e] == 0) & better;
+  };
   std::vector<ElementId> chosen;
-  std::vector<bool> used(context.graph().size(), false);
   chosen.reserve(k);
   std::vector<double> cov(cands.size());
+  std::vector<size_t> live;  // indices into cands not chosen yet
+  constexpr size_t kGrain = 8;
   for (size_t round = 0; round < k; ++round) {
-    // Candidate insertions are independent within a round: evaluate them in
-    // parallel into per-candidate slots, then reduce in candidate order
-    // (identical to the serial loop's first-maximum rule).
-    Status st = ParallelFor(
-        0, cands.size(), /*grain=*/8,
-        [&](size_t i) {
-          if (used[cands[i]]) return;
-          std::vector<ElementId> trial = chosen;
-          trial.push_back(cands[i]);
-          cov[i] = CoverageOfSet(context.graph(), context.affinity(),
-                                 context.coverage(), trial);
+    live.clear();
+    for (size_t i = 0; i < cands.size(); ++i) {
+      if (member[cands[i]] == 0) live.push_back(i);
+    }
+    // Candidate insertions are independent within a round: evaluate blocks
+    // of them in parallel into per-candidate slots, then reduce in candidate
+    // order (identical to the serial loop's first-maximum rule). A block
+    // walks e in the outer loop, so each candidate's sum still adds in
+    // ascending e while affinity is read along row e.
+    Status st = ParallelForChunked(
+        0, live.size(), kGrain,
+        [&](size_t, size_t begin, size_t end) {
+          const size_t width = end - begin;
+          ElementId c[kGrain] = {};
+          const double* c_cov[kGrain] = {};
+          double sum[kGrain] = {};
+          for (size_t j = 0; j < width; ++j) {
+            c[j] = cands[live[begin + j]];
+            c_cov[j] = coverage.Row(c[j]);
+          }
+          for (ElementId e = 0; e < n; ++e) {
+            if (e == root) continue;
+            const double* aff = affinity.Row(e);
+            for (size_t j = 0; j < width; ++j) {
+              const double cv = c_cov[j][e];
+              sum[j] += Pick((c[j] == e) | replaces(e, aff[c[j]], cv), cv,
+                             contrib[e]);
+            }
+          }
+          for (size_t j = 0; j < width; ++j) cov[live[begin + j]] = sum[j];
         },
         context.options().parallel);
     SSUM_RETURN_NOT_OK(st);
     ElementId best = kInvalidElement;
     double best_cov = -1.0;
-    for (size_t i = 0; i < cands.size(); ++i) {
-      if (used[cands[i]]) continue;
+    for (size_t i : live) {
       if (cov[i] > best_cov) {
         best_cov = cov[i];
         best = cands[i];
@@ -343,7 +397,17 @@ Result<std::vector<ElementId>> GreedyMaxCoverage(
     }
     if (best == kInvalidElement) break;
     chosen.push_back(best);
-    used[best] = true;
+    for (ElementId e = 0; e < n; ++e) {
+      if (e == root) continue;
+      const double cv = coverage.At(best, e);
+      if (e == best) {
+        member[e] = 1;
+        contrib[e] = cv;
+      } else if (replaces(e, affinity.At(e, best), cv)) {
+        best_aff[e] = affinity.At(e, best);
+        contrib[e] = cv;
+      }
+    }
   }
   return chosen;
 }

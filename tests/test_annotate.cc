@@ -14,6 +14,7 @@
 #include "xml/infer_schema.h"
 #include "xml/instance_bridge.h"
 #include "xml/parser.h"
+#include "temp_dir.h"
 
 namespace ssum {
 namespace {
@@ -438,7 +439,7 @@ TEST(AnnotationsIoTest, FileRoundTrip) {
   Fixture f;
   DataTree data = f.MakeData();
   Annotations ann = *AnnotateSchema(data);
-  std::string path = testing::TempDir() + "/annotations.txt";
+  std::string path = TestTempDir() + "/annotations.txt";
   ASSERT_TRUE(WriteAnnotationsFile(ann, path).ok());
   auto loaded = ReadAnnotationsFile(f.schema, path);
   ASSERT_TRUE(loaded.ok());

@@ -15,6 +15,7 @@
 #include "store/codec.h"
 #include "store/container.h"
 #include "store/fingerprint.h"
+#include "temp_dir.h"
 
 namespace ssum {
 namespace {
@@ -54,15 +55,6 @@ struct Fixture {
   }
 };
 
-/// Fresh empty cache directory per test (the cache holds a mutex, so tests
-/// construct it in place from the prepared directory).
-std::string MakeCacheDir(const std::string& name) {
-  std::string dir = testing::TempDir() + "/ssum_cache_" + name;
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir;
-}
-
 std::string ContainerPath(const ArtifactCache& cache, const char* family,
                           const Fingerprint& key) {
   return cache.dir() + "/" + family + "-" + key.ToHex() + ".ssb";
@@ -70,7 +62,7 @@ std::string ContainerPath(const ArtifactCache& cache, const char* family,
 
 TEST(CacheTest, AnnotationsMissStoreHit) {
   Fixture f;
-  ArtifactCache cache(MakeCacheDir("ann"));
+  ArtifactCache cache(FreshTestSubdir("ann"));
   Annotations ann = f.MakeAnnotations();
   Fingerprint key = FingerprintAnnotations(ann);
 
@@ -89,7 +81,7 @@ TEST(CacheTest, AnnotationsMissStoreHit) {
 }
 
 TEST(CacheTest, MatrixRoundTripIsBitIdentical) {
-  ArtifactCache cache(MakeCacheDir("matrix"));
+  ArtifactCache cache(FreshTestSubdir("matrix"));
   SquareMatrix m(4, 0.0);
   for (size_t r = 0; r < 4; ++r)
     for (size_t c = 0; c < 4; ++c)
@@ -107,7 +99,7 @@ TEST(CacheTest, MatrixRoundTripIsBitIdentical) {
 }
 
 TEST(CacheTest, MatrixShapeMismatchCountsAsMismatch) {
-  ArtifactCache cache(MakeCacheDir("mismatch"));
+  ArtifactCache cache(FreshTestSubdir("mismatch"));
   Fingerprint key{42};
   ASSERT_TRUE(cache
                   .StoreMatrix(ArtifactCache::kAffinityFamily, key,
@@ -121,7 +113,7 @@ TEST(CacheTest, MatrixShapeMismatchCountsAsMismatch) {
 
 TEST(CacheTest, CorruptContainerIsMissThenReinstallRecovers) {
   Fixture f;
-  ArtifactCache cache(MakeCacheDir("corrupt"));
+  ArtifactCache cache(FreshTestSubdir("corrupt"));
   Annotations ann = f.MakeAnnotations();
   Fingerprint key{7};
   ASSERT_TRUE(cache.StoreAnnotations(key, ann).ok());
@@ -148,7 +140,7 @@ TEST(CacheTest, CorruptContainerIsMissThenReinstallRecovers) {
 
 TEST(CacheTest, TruncatedContainerIsMissNotError) {
   Fixture f;
-  ArtifactCache cache(MakeCacheDir("truncated"));
+  ArtifactCache cache(FreshTestSubdir("truncated"));
   Annotations ann = f.MakeAnnotations();
   Fingerprint key{8};
   ASSERT_TRUE(cache.StoreAnnotations(key, ann).ok());
@@ -163,7 +155,7 @@ TEST(CacheTest, TruncatedContainerIsMissNotError) {
 
 TEST(CacheTest, ForeignVersionIsCleanMissAndVerifySkipsIt) {
   Fixture f;
-  ArtifactCache cache(MakeCacheDir("foreign"));
+  ArtifactCache cache(FreshTestSubdir("foreign"));
   Fingerprint key{9};
   // Fabricate a container written by a future format generation.
   ContainerWriter w(static_cast<uint32_t>(PayloadKind::kAnnotations),
@@ -185,7 +177,7 @@ TEST(CacheTest, ForeignVersionIsCleanMissAndVerifySkipsIt) {
 
 TEST(CacheTest, VerifyFlagsCorruptFiles) {
   Fixture f;
-  ArtifactCache cache(MakeCacheDir("verify"));
+  ArtifactCache cache(FreshTestSubdir("verify"));
   Annotations ann = f.MakeAnnotations();
   ASSERT_TRUE(cache.StoreAnnotations(Fingerprint{1}, ann).ok());
   ASSERT_TRUE(cache.StoreAnnotations(Fingerprint{2}, ann).ok());
@@ -207,7 +199,7 @@ TEST(CacheTest, VerifyFlagsCorruptFiles) {
 
 TEST(CacheTest, ListAndClear) {
   Fixture f;
-  ArtifactCache cache(MakeCacheDir("listclear"));
+  ArtifactCache cache(FreshTestSubdir("listclear"));
   ASSERT_TRUE(
       cache.StoreAnnotations(Fingerprint{1}, f.MakeAnnotations()).ok());
   ASSERT_TRUE(cache
@@ -232,7 +224,7 @@ TEST(CacheTest, ListAndClear) {
 
 TEST(CacheTest, PersistentCountersAccumulateAcrossFlushes) {
   Fixture f;
-  ArtifactCache cache(MakeCacheDir("counters"));
+  ArtifactCache cache(FreshTestSubdir("counters"));
   Annotations ann = f.MakeAnnotations();
   Fingerprint key = FingerprintAnnotations(ann);
 
@@ -254,7 +246,7 @@ TEST(CacheTest, PersistentCountersAccumulateAcrossFlushes) {
 }
 
 TEST(CacheTest, CorruptCounterFileResetsStatsNeverFails) {
-  ArtifactCache cache(MakeCacheDir("badcounters"));
+  ArtifactCache cache(FreshTestSubdir("badcounters"));
   std::ofstream out(cache.dir() + "/cache-counters.v1.txt");
   out << "!!!not\tnumbers\nhits\tNaN\n";
   out.close();
@@ -266,7 +258,7 @@ TEST(CacheTest, CorruptCounterFileResetsStatsNeverFails) {
 
 TEST(CacheTest, SummarizerContextWarmStartIsBitIdentical) {
   Fixture f;
-  ArtifactCache cache(MakeCacheDir("context"));
+  ArtifactCache cache(FreshTestSubdir("context"));
   Annotations ann = f.MakeAnnotations();
   SummarizeOptions options;
 
@@ -298,7 +290,7 @@ TEST(CacheTest, SummarizerContextWarmStartIsBitIdentical) {
 
 TEST(CacheTest, SummaryStoreLoad) {
   Fixture f;
-  ArtifactCache cache(MakeCacheDir("summary"));
+  ArtifactCache cache(FreshTestSubdir("summary"));
   Annotations ann = f.MakeAnnotations();
   auto context = SummarizerContext::Make(f.schema, ann).ValueOrDie();
   auto summary = Summarize(context, 3);
@@ -331,7 +323,7 @@ TEST(CacheTest, ApproxAndExactSummariesNeverCollide) {
 
   // ...so a cached exact summary can never satisfy an approx request, and
   // the round-trip returns each mode its own stored summary.
-  ArtifactCache cache(MakeCacheDir("mode_collision"));
+  ArtifactCache cache(FreshTestSubdir("mode_collision"));
   auto context =
       SummarizerContext::Make(f.schema, ann, exact_opts).ValueOrDie();
   auto exact = Summarize(context, 3, Algorithm::kMaxCoverage);
@@ -371,7 +363,7 @@ TEST(CacheCrashTest, CrashAtEveryInstallStepNeverCorruptsAHit) {
   size_t fault_points;
   {
     FaultInjectingEnv probe(Env::Default());
-    ArtifactCache probe_cache(MakeCacheDir("crash_probe"), &probe);
+    ArtifactCache probe_cache(FreshTestSubdir("crash_probe"), &probe);
     ASSERT_TRUE(probe_cache.StoreAnnotations(key, new_ann).ok());
     fault_points = probe.total_ops();
   }
@@ -380,8 +372,8 @@ TEST(CacheCrashTest, CrashAtEveryInstallStepNeverCorruptsAHit) {
   for (size_t crash_at = 0; crash_at < fault_points; ++crash_at) {
     for (bool preexisting : {false, true}) {
       std::string dir =
-          MakeCacheDir("crash_" + std::to_string(crash_at) +
-                       (preexisting ? "_old" : "_fresh"));
+          FreshTestSubdir("crash_" + std::to_string(crash_at) +
+                          (preexisting ? "_old" : "_fresh"));
       if (preexisting) {
         ArtifactCache seed(dir);
         ASSERT_TRUE(seed.StoreAnnotations(key, old_ann).ok());
@@ -428,7 +420,7 @@ TEST(CacheCrashTest, TransientFaultsHealInsideTheCacheRetryLoop) {
     ASSERT_TRUE(env.LoadSchedule(spec).ok()) << spec;
     RetryPolicy policy;
     policy.sleeper = [](uint64_t) {};  // don't actually sleep in tests
-    ArtifactCache cache(MakeCacheDir("transient"), &env, policy);
+    ArtifactCache cache(FreshTestSubdir("transient"), &env, policy);
     ASSERT_TRUE(cache.StoreAnnotations(key, ann).ok()) << spec;
     auto hit = cache.LoadAnnotations(f.schema, key);
     ASSERT_TRUE(hit.has_value()) << spec;
@@ -443,7 +435,7 @@ TEST(CacheCrashTest, TransientFaultsHealInsideTheCacheRetryLoop) {
 
 TEST(CacheQuarantineTest, CorruptLookupQuarantinesThenReinstallHeals) {
   Fixture f;
-  ArtifactCache cache(MakeCacheDir("quarantine"));
+  ArtifactCache cache(FreshTestSubdir("quarantine"));
   Annotations ann = f.MakeAnnotations();
   Fingerprint key{0x53};
   ASSERT_TRUE(cache.StoreAnnotations(key, ann).ok());
@@ -491,7 +483,7 @@ TEST(CacheQuarantineTest, CorruptLookupQuarantinesThenReinstallHeals) {
 
 TEST(CacheQuarantineTest, VerifyCanQuarantineCorruptEntries) {
   Fixture f;
-  ArtifactCache cache(MakeCacheDir("verify_q"));
+  ArtifactCache cache(FreshTestSubdir("verify_q"));
   Annotations ann = f.MakeAnnotations();
   ASSERT_TRUE(cache.StoreAnnotations(Fingerprint{1}, ann).ok());
   ASSERT_TRUE(cache.StoreAnnotations(Fingerprint{2}, ann).ok());

@@ -18,6 +18,7 @@
 #include "stats/annotate.h"
 #include "store/artifact_cache.h"
 #include "store/fingerprint.h"
+#include "temp_dir.h"
 
 namespace ssum {
 namespace {
@@ -59,16 +60,9 @@ struct Fixture {
   }
 };
 
-std::string MakeCacheDir(const std::string& name) {
-  std::string dir = testing::TempDir() + "/ssum_cache_conc_" + name;
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir;
-}
-
 TEST(CacheConcurrentTest, OverlappingLookupsAndInstallsCountExactly) {
   Fixture f;
-  ArtifactCache cache(MakeCacheDir("overlap"));
+  ArtifactCache cache(FreshTestSubdir("overlap"));
 
   // A small keyspace shared by all threads, so lookups and installs of the
   // SAME fingerprint genuinely overlap, alongside per-thread private keys.
@@ -131,7 +125,7 @@ TEST(CacheConcurrentTest, OverlappingLookupsAndInstallsCountExactly) {
 
 TEST(CacheConcurrentTest, ConcurrentFlushesNeverTearTheCounterFile) {
   Fixture f;
-  const std::string dir = MakeCacheDir("flush");
+  const std::string dir = FreshTestSubdir("flush");
 
   constexpr int kThreads = 6;
   constexpr int kRoundsPerThread = 10;

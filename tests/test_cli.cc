@@ -9,13 +9,15 @@
 #include <fstream>
 #include <sstream>
 
+#include "temp_dir.h"
+
 namespace ssum {
 namespace {
 
 std::string CliPath() { return SSUM_CLI_PATH; }
 
 std::string TempPath(const std::string& name) {
-  return testing::TempDir() + "/" + name;
+  return TestTempDir() + "/" + name;
 }
 
 /// Runs the CLI with `args`, capturing stdout into *out; returns the exit
@@ -50,6 +52,15 @@ TEST(CliTest, UsageOnBadInvocation) {
   EXPECT_EQ(RunCli(""), 2);
   EXPECT_EQ(RunCli("bogus-command"), 2);
   EXPECT_EQ(RunCli("summarize"), 2);  // missing arguments
+}
+
+TEST(CliTest, MalformedThreadsIsUsageError) {
+  for (const char* threads : {"0", "-3", "abc"}) {
+    EXPECT_EQ(RunCli(std::string("--threads ") + threads + " demo xmark -k 3"),
+              2)
+        << threads;
+  }
+  EXPECT_EQ(RunCli("demo xmark -k 3 --threads"), 2);  // missing value
 }
 
 TEST(CliTest, XmlPipeline) {
@@ -96,7 +107,7 @@ TEST(CliTest, RelationalFromDdlAndCsv) {
   WriteFile(TempPath("customer.csv"), "c_id,c_name\n1,Ada\n2,Bob\n");
   WriteFile(TempPath("orders.csv"), "o_id,o_cust\n1,1\n2,1\n3,2\n4,2\n5,1\n");
   std::string out;
-  EXPECT_EQ(RunCli("relational " + sql + " -k 2 --data " + testing::TempDir(),
+  EXPECT_EQ(RunCli("relational " + sql + " -k 2 --data " + TestTempDir(),
                    &out),
             0);
   EXPECT_NE(out.find("orders"), std::string::npos);

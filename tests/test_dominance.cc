@@ -5,6 +5,8 @@
 #include "core/dominance.h"
 #include "core/metrics.h"
 #include "core/summarize.h"
+#include "datasets/registry.h"
+#include "datasets/scenario.h"
 #include "schema/schema_builder.h"
 #include "stats/annotate.h"
 
@@ -96,7 +98,8 @@ TEST(DominanceTest, ComputeDominanceProducesConsistentSets) {
   Fixture f;
   EdgeMetrics metrics = EdgeMetrics::Compute(f.schema, f.ann);
   auto cov = CoverageMatrix::TryCompute(f.schema, f.ann, metrics).ValueOrDie();
-  DominanceResult result = ComputeDominance(f.schema, f.ann, cov);
+  DominanceResult result =
+      TryComputeDominance(f.schema, f.ann, cov).ValueOrDie();
   // Flags match pairs.
   std::vector<bool> expect(f.schema.size(), false);
   for (const DominancePair& p : result.pairs) {
@@ -125,8 +128,88 @@ TEST(DominanceTest, CyclicValueLinksTerminate) {
   Annotations ann = Annotations::Uniform(schema);
   EdgeMetrics metrics = EdgeMetrics::Compute(schema, ann);
   auto cov = CoverageMatrix::TryCompute(schema, ann, metrics).ValueOrDie();
-  DominanceResult result = ComputeDominance(schema, ann, cov);
-  (void)result;  // must terminate
+  EXPECT_TRUE(TryComputeDominance(schema, ann, cov).ok());  // terminates
+}
+
+/// Figure 6 lines 2-12 spelled out with the Theorem 1 spec: every non-root
+/// extended ancestor of every non-root element, in element order.
+DominanceResult PairwiseOracle(const SchemaGraph& graph,
+                               const Annotations& ann,
+                               const CoverageMatrix& cov) {
+  DominanceResult want;
+  want.dominated.assign(graph.size(), false);
+  for (ElementId e = 0; e < graph.size(); ++e) {
+    if (e == graph.root()) continue;
+    for (ElementId anc : ExtendedAncestors(graph, e)) {
+      if (anc == graph.root()) continue;
+      if (Dominates(graph, ann, cov, anc, e)) {
+        want.pairs.push_back({anc, e});
+        want.dominated[e] = true;
+      }
+    }
+  }
+  for (ElementId e = 0; e < graph.size(); ++e) {
+    if (e != graph.root() && !want.dominated[e]) want.candidates.push_back(e);
+  }
+  return want;
+}
+
+void ExpectMatchesOracle(const SchemaGraph& graph, const Annotations& ann,
+                         const std::string& name) {
+  EdgeMetrics metrics = EdgeMetrics::Compute(graph, ann);
+  auto cov = CoverageMatrix::TryCompute(graph, ann, metrics).ValueOrDie();
+  const DominanceResult want = PairwiseOracle(graph, ann, cov);
+  EXPECT_FALSE(want.pairs.empty()) << name;
+  for (uint32_t threads : {1u, 8u}) {
+    ParallelOptions parallel;
+    parallel.threads = threads;
+    auto got = TryComputeDominance(graph, ann, cov, parallel);
+    ASSERT_TRUE(got.ok()) << name << ": " << got.status().ToString();
+    ASSERT_EQ(got->pairs.size(), want.pairs.size()) << name << " t" << threads;
+    for (size_t i = 0; i < want.pairs.size(); ++i) {
+      EXPECT_EQ(got->pairs[i].dominator, want.pairs[i].dominator)
+          << name << " t" << threads << " pair " << i;
+      EXPECT_EQ(got->pairs[i].dominated, want.pairs[i].dominated)
+          << name << " t" << threads << " pair " << i;
+    }
+    EXPECT_EQ(got->dominated, want.dominated) << name << " t" << threads;
+    EXPECT_EQ(got->candidates, want.candidates) << name << " t" << threads;
+  }
+}
+
+TEST(DominanceTest, MatchesPairwiseTheorem1Oracle) {
+  for (DatasetKind kind :
+       {DatasetKind::kXMark, DatasetKind::kTpch, DatasetKind::kMimi}) {
+    auto bundle = LoadDataset(kind, 0.02);
+    ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
+    ExpectMatchesOracle(bundle->schema, bundle->annotations, bundle->name);
+  }
+  // Value links make referees extended ancestors (and can form cycles).
+  ScenarioSpec spec;
+  spec.name = "dominance-oracle";
+  spec.seed = 5;
+  spec.schema_elements = 150;
+  spec.value_link_fraction = 0.2;
+  spec.instance_units = 400;
+  auto ds = ScenarioDataset::Make(spec);
+  ASSERT_TRUE(ds.ok()) << ds.status().ToString();
+  auto ann = AnnotateSchemaSharded(*ds->MakeShardedSource());
+  ASSERT_TRUE(ann.ok()) << ann.status().ToString();
+  ExpectMatchesOracle(ds->schema(), *ann, spec.name);
+}
+
+TEST(DominanceTest, ExpiredDeadlineFailsWithoutPartialResult) {
+  Fixture f;
+  EdgeMetrics metrics = EdgeMetrics::Compute(f.schema, f.ann);
+  auto cov = CoverageMatrix::TryCompute(f.schema, f.ann, metrics).ValueOrDie();
+  for (uint32_t threads : {1u, 8u}) {
+    ParallelOptions parallel;
+    parallel.threads = threads;
+    parallel.deadline = Deadline::After(0);
+    auto result = TryComputeDominance(f.schema, f.ann, cov, parallel);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
+  }
 }
 
 }  // namespace

@@ -10,18 +10,12 @@
 #include "common/parallel.h"
 #include "common/retry.h"
 #include "store/container.h"
+#include "temp_dir.h"
 
 namespace ssum {
 namespace {
 
 namespace fs = std::filesystem;
-
-std::string MakeTestDir(const std::string& name) {
-  std::string dir = testing::TempDir() + "/ssum_env_" + name;
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir;
-}
 
 // ---------------------------------------------------------------------------
 // PosixEnv
@@ -29,7 +23,7 @@ std::string MakeTestDir(const std::string& name) {
 
 TEST(PosixEnvTest, WriteReadRoundTrip) {
   Env* env = Env::Default();
-  const std::string path = MakeTestDir("roundtrip") + "/file.bin";
+  const std::string path = FreshTestSubdir("roundtrip") + "/file.bin";
   auto out = env->NewWritableFile(path);
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   EXPECT_TRUE((*out)->Append("hello ").ok());
@@ -50,7 +44,7 @@ TEST(PosixEnvTest, WriteReadRoundTrip) {
 
 TEST(PosixEnvTest, MissingFileIsNotFound) {
   Env* env = Env::Default();
-  const std::string dir = MakeTestDir("missing");
+  const std::string dir = FreshTestSubdir("missing");
   EXPECT_TRUE(env->ReadFile(dir + "/nope").status().IsNotFound());
   EXPECT_TRUE(env->RemoveFile(dir + "/nope").IsNotFound());
   auto exists = env->FileExists(dir + "/nope");
@@ -60,7 +54,7 @@ TEST(PosixEnvTest, MissingFileIsNotFound) {
 
 TEST(PosixEnvTest, RenameReplacesAndSyncDirWorks) {
   Env* env = Env::Default();
-  const std::string dir = MakeTestDir("rename");
+  const std::string dir = FreshTestSubdir("rename");
   ASSERT_TRUE(AtomicWriteFile(env, dir + "/a", "aaa").ok());
   ASSERT_TRUE(AtomicWriteFile(env, dir + "/b", "bbb").ok());
   ASSERT_TRUE(env->RenameFile(dir + "/a", dir + "/b").ok());
@@ -76,7 +70,7 @@ TEST(PosixEnvTest, RenameReplacesAndSyncDirWorks) {
 
 TEST(FaultEnvTest, NthWriteFailsPermanently) {
   FaultInjectingEnv env(Env::Default());
-  const std::string dir = MakeTestDir("nth_write");
+  const std::string dir = FreshTestSubdir("nth_write");
   env.ScheduleFault({FaultOp::kWrite, 2, FaultKind::kEio, 0,
                      /*transient=*/false});
 
@@ -93,7 +87,7 @@ TEST(FaultEnvTest, NthWriteFailsPermanently) {
 
 TEST(FaultEnvTest, TransientFaultFiresOnce) {
   FaultInjectingEnv env(Env::Default());
-  const std::string dir = MakeTestDir("transient");
+  const std::string dir = FreshTestSubdir("transient");
   env.ScheduleFault({FaultOp::kRead, 1, FaultKind::kEio, 0,
                      /*transient=*/true});
   ASSERT_TRUE(AtomicWriteFile(&env, dir + "/f", "payload").ok());
@@ -105,7 +99,7 @@ TEST(FaultEnvTest, TransientFaultFiresOnce) {
 
 TEST(FaultEnvTest, TornWriteKeepsPrefix) {
   FaultInjectingEnv env(Env::Default());
-  const std::string dir = MakeTestDir("torn");
+  const std::string dir = FreshTestSubdir("torn");
   env.ScheduleFault({FaultOp::kWrite, 1, FaultKind::kTorn, 4,
                      /*transient=*/true});
   auto out = env.NewWritableFile(dir + "/f");
@@ -119,7 +113,7 @@ TEST(FaultEnvTest, TornWriteKeepsPrefix) {
 
 TEST(FaultEnvTest, EnospcCarriesDistinctMessage) {
   FaultInjectingEnv env(Env::Default());
-  const std::string dir = MakeTestDir("enospc");
+  const std::string dir = FreshTestSubdir("enospc");
   env.ScheduleFault({FaultOp::kSync, 1, FaultKind::kEnospc, 0, false});
   Status st = AtomicWriteFile(&env, dir + "/f", "x");
   EXPECT_TRUE(st.IsIoError());
@@ -129,7 +123,7 @@ TEST(FaultEnvTest, EnospcCarriesDistinctMessage) {
 
 TEST(FaultEnvTest, GlobalOpIndexAddressingAndHistory) {
   FaultInjectingEnv probe(Env::Default());
-  const std::string dir = MakeTestDir("history");
+  const std::string dir = FreshTestSubdir("history");
   ASSERT_TRUE(AtomicWriteFile(&probe, dir + "/f", "abc").ok());
   // The atomic install op sequence is the documented durability barrier:
   // open, write, flush, sync, rename, syncdir.
@@ -152,7 +146,7 @@ TEST(FaultEnvTest, GlobalOpIndexAddressingAndHistory) {
 
 TEST(FaultEnvTest, ScheduleGrammarParses) {
   FaultInjectingEnv env(Env::Default());
-  const std::string dir = MakeTestDir("grammar");
+  const std::string dir = FreshTestSubdir("grammar");
   ASSERT_TRUE(env.LoadSchedule("write#2=torn:3~;sync#1=enospc").ok());
   auto out = env.NewWritableFile(dir + "/f");
   ASSERT_TRUE(out.ok());
@@ -207,7 +201,7 @@ TEST(RetryTest, BackoffIsDeterministicBoundedAndCapped) {
 
 TEST(RetryTest, TransientFaultHealsUnderRetry) {
   FaultInjectingEnv env(Env::Default());
-  const std::string dir = MakeTestDir("retry_heal");
+  const std::string dir = FreshTestSubdir("retry_heal");
   ASSERT_TRUE(env.LoadSchedule("sync#1=eio~").ok());
   RetryPolicy policy;
   std::vector<uint64_t> delays;
@@ -224,7 +218,7 @@ TEST(RetryTest, TransientFaultHealsUnderRetry) {
 
 TEST(RetryTest, PermanentFaultExhaustsAttempts) {
   FaultInjectingEnv env(Env::Default());
-  const std::string dir = MakeTestDir("retry_exhaust");
+  const std::string dir = FreshTestSubdir("retry_exhaust");
   ASSERT_TRUE(env.LoadSchedule("sync#1=eio").ok());  // dead disk
   RetryPolicy policy;
   policy.max_attempts = 3;

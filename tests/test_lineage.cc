@@ -18,6 +18,7 @@
 #include "store/codec.h"
 #include "store/container.h"
 #include "store/fingerprint.h"
+#include "temp_dir.h"
 
 namespace ssum {
 namespace {
@@ -71,13 +72,6 @@ struct Fixture {
   }
 };
 
-std::string MakeCacheDir(const std::string& name) {
-  std::string dir = testing::TempDir() + "/ssum_lineage_" + name;
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir;
-}
-
 std::string ContainerPath(const ArtifactCache& cache, const char* family,
                           const Fingerprint& key) {
   return cache.dir() + "/" + family + "-" + key.ToHex() + ".ssb";
@@ -85,7 +79,7 @@ std::string ContainerPath(const ArtifactCache& cache, const char* family,
 
 TEST(LineageTest, DirectHitResolvesWithZeroHops) {
   Fixture f;
-  ArtifactCache cache(MakeCacheDir("direct"));
+  ArtifactCache cache(FreshTestSubdir("direct"));
   Annotations ann = f.MakeAnnotations();
   Fingerprint key{0xA1};
   ASSERT_TRUE(cache.StoreAnnotations(key, ann).ok());
@@ -97,7 +91,7 @@ TEST(LineageTest, DirectHitResolvesWithZeroHops) {
 
 TEST(LineageTest, OneHopResolvesThroughTheDelta) {
   Fixture f;
-  ArtifactCache cache(MakeCacheDir("onehop"));
+  ArtifactCache cache(FreshTestSubdir("onehop"));
   Annotations parent = f.MakeAnnotations();
   Annotations child = f.Bump(parent, 5);
   Fingerprint parent_key{0xB1}, child_key{0xB2};
@@ -118,7 +112,7 @@ TEST(LineageTest, OneHopResolvesThroughTheDelta) {
 
 TEST(LineageTest, ChainsReplayChildWardInOrder) {
   Fixture f;
-  ArtifactCache cache(MakeCacheDir("chain"));
+  ArtifactCache cache(FreshTestSubdir("chain"));
   Annotations v0 = f.MakeAnnotations();
   Annotations v1 = f.Bump(v0, 3);
   Annotations v2 = f.Bump(v1, 9);
@@ -140,7 +134,7 @@ TEST(LineageTest, ChainsReplayChildWardInOrder) {
 
 TEST(LineageTest, MissingAncestorIsACleanMiss) {
   Fixture f;
-  ArtifactCache cache(MakeCacheDir("dangling"));
+  ArtifactCache cache(FreshTestSubdir("dangling"));
   Annotations parent = f.MakeAnnotations();
   Annotations child = f.Bump(parent, 2);
   Fingerprint parent_key{0xD1}, child_key{0xD2};
@@ -160,7 +154,7 @@ TEST(LineageTest, MissingAncestorIsACleanMiss) {
 
 TEST(LineageTest, WrongParentContentIsACleanMissNotCorruption) {
   Fixture f;
-  ArtifactCache cache(MakeCacheDir("wrongparent"));
+  ArtifactCache cache(FreshTestSubdir("wrongparent"));
   Annotations real_parent = f.MakeAnnotations();
   Annotations child = f.Bump(real_parent, 4);
   Annotations impostor = f.Bump(real_parent, 100);  // different content
@@ -186,7 +180,7 @@ TEST(LineageTest, WrongParentContentIsACleanMissNotCorruption) {
 
 TEST(LineageTest, DepthCapBoundsTheChase) {
   Fixture f;
-  ArtifactCache cache(MakeCacheDir("depth"));
+  ArtifactCache cache(FreshTestSubdir("depth"));
   Annotations v0 = f.MakeAnnotations();
   Annotations v1 = f.Bump(v0, 1);
   Annotations v2 = f.Bump(v1, 1);
@@ -208,7 +202,7 @@ TEST(LineageTest, DepthCapBoundsTheChase) {
 
 TEST(LineageTest, KeyCyclesTerminateAsACleanMiss) {
   Fixture f;
-  ArtifactCache cache(MakeCacheDir("cycle"));
+  ArtifactCache cache(FreshTestSubdir("cycle"));
   Annotations a = f.MakeAnnotations();
   Annotations b = f.Bump(a, 6);
   Fingerprint ka{0xAB}, kb{0xBA};
@@ -221,7 +215,7 @@ TEST(LineageTest, KeyCyclesTerminateAsACleanMiss) {
 
 TEST(LineageTest, TamperedDeltaIsQuarantinedAndHeals) {
   Fixture f;
-  ArtifactCache cache(MakeCacheDir("tampered"));
+  ArtifactCache cache(FreshTestSubdir("tampered"));
   Annotations parent = f.MakeAnnotations();
   Annotations child = f.Bump(parent, 7);
   Fingerprint parent_key{0x71}, child_key{0x72};
@@ -252,7 +246,7 @@ TEST(LineageTest, TamperedDeltaIsQuarantinedAndHeals) {
 
 TEST(LineageTest, CorruptParentDegradesToACleanMiss) {
   Fixture f;
-  ArtifactCache cache(MakeCacheDir("badparent"));
+  ArtifactCache cache(FreshTestSubdir("badparent"));
   Annotations parent = f.MakeAnnotations();
   Annotations child = f.Bump(parent, 8);
   Fingerprint parent_key{0x81}, child_key{0x82};
@@ -280,7 +274,7 @@ TEST(LineageTest, CorruptParentDegradesToACleanMiss) {
 
 TEST(LineageTest, ListLineageDescribesTheChain) {
   Fixture f;
-  ArtifactCache cache(MakeCacheDir("list"));
+  ArtifactCache cache(FreshTestSubdir("list"));
   Annotations v0 = f.MakeAnnotations();
   Annotations v1 = f.Bump(v0, 2);
   Annotations v2 = f.Bump(v1, 2);
@@ -319,7 +313,7 @@ TEST(LineageTest, LockAcquisitionFailureNeverFailsTheInstall) {
   ASSERT_TRUE(env.LoadSchedule("lock#1=eio").ok());
   RetryPolicy policy;
   policy.sleeper = [](uint64_t) {};
-  ArtifactCache cache(MakeCacheDir("lockfault"), &env, policy);
+  ArtifactCache cache(FreshTestSubdir("lockfault"), &env, policy);
   Annotations parent = f.MakeAnnotations();
   Annotations child = f.Bump(parent, 3);
   Fingerprint parent_key{0x61}, child_key{0x62};
@@ -352,7 +346,7 @@ TEST(LineageCrashTest, CrashAtEveryDeltaInstallStepNeverCorruptsAHit) {
   // ops are counted).
   size_t fault_points;
   {
-    std::string dir = MakeCacheDir("crash_probe");
+    std::string dir = FreshTestSubdir("crash_probe");
     {
       ArtifactCache seed(dir);
       ASSERT_TRUE(seed.StoreAnnotations(parent_key, parent).ok());
@@ -366,7 +360,7 @@ TEST(LineageCrashTest, CrashAtEveryDeltaInstallStepNeverCorruptsAHit) {
   ASSERT_GE(fault_points, 4u);
 
   for (size_t crash_at = 0; crash_at < fault_points; ++crash_at) {
-    std::string dir = MakeCacheDir("crash_" + std::to_string(crash_at));
+    std::string dir = FreshTestSubdir("crash_" + std::to_string(crash_at));
     {
       ArtifactCache seed(dir);
       ASSERT_TRUE(seed.StoreAnnotations(parent_key, parent).ok());

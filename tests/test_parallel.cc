@@ -176,7 +176,7 @@ TEST(ThreadCountTest, ConsumeThreadsFlagStripsAndApplies) {
   for (const char* a : raw) argv.push_back(const_cast<char*>(a));
   argv.push_back(nullptr);
   int argc = 6;
-  EXPECT_EQ(ConsumeThreadsFlag(&argc, argv.data()), 6u);
+  EXPECT_EQ(ConsumeThreadsFlag(&argc, argv.data()).ValueOrDie(), 6u);
   EXPECT_EQ(argc, 4);
   EXPECT_STREQ(argv[1], "pos1");
   EXPECT_STREQ(argv[2], "--other");
@@ -187,8 +187,29 @@ TEST(ThreadCountTest, ConsumeThreadsFlagStripsAndApplies) {
   for (const char* a : raw2) argv2.push_back(const_cast<char*>(a));
   argv2.push_back(nullptr);
   int argc2 = 2;
-  EXPECT_EQ(ConsumeThreadsFlag(&argc2, argv2.data()), 9u);
+  EXPECT_EQ(ConsumeThreadsFlag(&argc2, argv2.data()).ValueOrDie(), 9u);
   EXPECT_EQ(argc2, 1);
+  SetDefaultThreadCount(0);
+}
+
+TEST(ThreadCountTest, ConsumeThreadsFlagRejectsMalformedValues) {
+  SetDefaultThreadCount(5);
+  const std::vector<std::vector<const char*>> cases = {
+      {"prog", "--threads", "abc"}, {"prog", "--threads", "0"},
+      {"prog", "--threads", "-3"},  {"prog", "--threads=2x"},
+      {"prog", "--threads="},       {"prog", "--threads"},
+      {"prog", "--threads", "99999999999"}};
+  for (const auto& raw : cases) {
+    std::vector<char*> argv;
+    for (const char* a : raw) argv.push_back(const_cast<char*>(a));
+    argv.push_back(nullptr);
+    int argc = static_cast<int>(raw.size());
+    auto parsed = ConsumeThreadsFlag(&argc, argv.data());
+    ASSERT_FALSE(parsed.ok()) << raw.back();
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(parsed.status().message().find("--threads"), std::string::npos);
+    EXPECT_EQ(DefaultThreadCount(), 5u) << raw.back();
+  }
   SetDefaultThreadCount(0);
 }
 

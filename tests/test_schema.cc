@@ -6,6 +6,7 @@
 #include "schema/schema_io.h"
 #include "schema/type.h"
 #include "schema/validate.h"
+#include "temp_dir.h"
 
 namespace ssum {
 namespace {
@@ -163,7 +164,7 @@ TEST(SchemaIoTest, RejectsMalformedInput) {
 
 TEST(SchemaIoTest, FileRoundTrip) {
   SchemaGraph g = TinyAuction();
-  std::string path = testing::TempDir() + "/schema_roundtrip.ssg";
+  std::string path = TestTempDir() + "/schema_roundtrip.ssg";
   ASSERT_TRUE(WriteSchemaFile(g, path).ok());
   auto loaded = ReadSchemaFile(path);
   ASSERT_TRUE(loaded.ok());

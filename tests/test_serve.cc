@@ -19,16 +19,10 @@
 #include "serve/server.h"
 #include "serve/wire.h"
 #include "store/container.h"
+#include "temp_dir.h"
 
 namespace ssum {
 namespace {
-
-std::string MakeServeDir(const std::string& name) {
-  std::string dir = testing::TempDir() + "/ssum_serve_" + name;
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir;
-}
 
 // ---------------------------------------------------------------------------
 // Wire codec
@@ -191,7 +185,7 @@ class ServeE2ETest : public ::testing::Test {
   void StartServer(ServeServerOptions options) {
     options.listen = "127.0.0.1:0";
     if (options.cache_dir.empty()) {
-      options.cache_dir = MakeServeDir(
+      options.cache_dir = FreshTestSubdir(
           ::testing::UnitTest::GetInstance()->current_test_info()->name());
     }
     server_ = std::make_unique<SummarizeServer>(std::move(options));
@@ -307,7 +301,7 @@ TEST_F(ServeE2ETest, ScenarioDatasetsDisabledWithoutDirectory) {
 }
 
 TEST_F(ServeE2ETest, ScenarioNamesConfinedToConfiguredDirectory) {
-  const std::string root = MakeServeDir("scenario_confined");
+  const std::string root = FreshTestSubdir("scenario_confined");
   const std::string dir = root + "/cases";
   std::filesystem::create_directories(dir);
   const char kCase[] =

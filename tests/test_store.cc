@@ -13,6 +13,7 @@
 #include "stats/annotate.h"
 #include "store/codec.h"
 #include "store/container.h"
+#include "temp_dir.h"
 
 namespace ssum {
 namespace {
@@ -296,7 +297,7 @@ TEST(CodecTest, SummarySurvivesArbitraryCorruption) {
 // ---------------------------------------------------------------------------
 
 TEST(ContainerTest, AtomicWriteReadBack) {
-  std::string dir = testing::TempDir();
+  std::string dir = TestTempDir();
   std::string path = dir + "/ssum_store_test.ssb";
   std::string bytes = MakeTwoSectionContainer();
   ASSERT_TRUE(AtomicWriteFile(path, bytes).ok());
@@ -307,11 +308,10 @@ TEST(ContainerTest, AtomicWriteReadBack) {
   std::string bytes2 = ContainerWriter(PayloadKind::kSummary).Finish();
   ASSERT_TRUE(AtomicWriteFile(path, bytes2).ok());
   EXPECT_EQ(*ReadFileBytes(path), bytes2);
-  std::remove(path.c_str());
 }
 
 TEST(ContainerTest, ReadMissingFileIsNotFound) {
-  auto read = ReadFileBytes(testing::TempDir() + "/ssum_no_such_file.ssb");
+  auto read = ReadFileBytes(TestTempDir() + "/ssum_no_such_file.ssb");
   EXPECT_TRUE(read.status().IsNotFound()) << read.status().ToString();
 }
 
@@ -320,13 +320,6 @@ TEST(ContainerTest, ReadMissingFileIsNotFound) {
 // check the invariant — the final path holds the complete old bytes, the
 // complete new bytes, or nothing. Never a torn container.
 // ---------------------------------------------------------------------------
-
-std::string MakeSweepDir(const std::string& name) {
-  std::string dir = testing::TempDir() + "/ssum_sweep_" + name;
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir;
-}
 
 void ExpectOldNewOrMissing(const std::string& path, const std::string& old_b,
                            const std::string& new_b, const std::string& what) {
@@ -353,7 +346,7 @@ TEST(CrashSweepTest, EveryFaultPointLeavesOldNewOrNothing) {
   // survives — exactly what a power cut leaves behind).
   FaultInjectingEnv probe(Env::Default());
   {
-    std::string dir = MakeSweepDir("probe");
+    std::string dir = FreshTestSubdir("probe");
     ASSERT_TRUE(AtomicWriteFile(&probe, dir + "/k.ssb", new_bytes).ok());
   }
   const size_t fault_points = probe.total_ops();
@@ -365,8 +358,8 @@ TEST(CrashSweepTest, EveryFaultPointLeavesOldNewOrNothing) {
         FaultOpName(probe.history()[crash_at]) + ")";
     for (bool preexisting : {false, true}) {
       std::string dir =
-          MakeSweepDir("at" + std::to_string(crash_at) +
-                       (preexisting ? "_old" : "_fresh"));
+          FreshTestSubdir("at" + std::to_string(crash_at) +
+                          (preexisting ? "_old" : "_fresh"));
       std::string path = dir + "/k.ssb";
       if (preexisting) {
         ASSERT_TRUE(AtomicWriteFile(path, old_bytes).ok());
@@ -397,7 +390,7 @@ TEST(CrashSweepTest, TornWritesNeverReachTheFinalPath) {
   // land in the *tmp* file, but rename never runs, so the final path keeps
   // the old artifact bit-identically.
   for (uint64_t keep = 0; keep <= new_bytes.size(); keep += 7) {
-    std::string dir = MakeSweepDir("torn" + std::to_string(keep));
+    std::string dir = FreshTestSubdir("torn" + std::to_string(keep));
     std::string path = dir + "/k.ssb";
     ASSERT_TRUE(AtomicWriteFile(path, old_bytes).ok());
     FaultInjectingEnv env(Env::Default());
@@ -417,9 +410,9 @@ TEST(CrashSweepTest, TransientFaultsHealUnderRetry) {
   for (const char* spec :
        {"open#1=eio~", "write#1=eio~", "write#1=torn:5~", "flush#1=eio~",
         "sync#1=enospc~", "rename#1=eio~", "syncdir#1=eio~"}) {
-    std::string dir = MakeSweepDir(std::string("heal_") +
-                                   std::to_string(std::string(spec).find('#')) +
-                                   std::string(spec).substr(0, 4));
+    std::string dir = FreshTestSubdir(
+        "heal_" + std::to_string(std::string(spec).find('#')) +
+        std::string(spec).substr(0, 4));
     std::string path = dir + "/k.ssb";
     FaultInjectingEnv env(Env::Default());
     ASSERT_TRUE(env.LoadSchedule(spec).ok()) << spec;

@@ -119,6 +119,55 @@ TEST(SummarizeTest, ExactMaxCoverageBeatsOrMatchesGreedy) {
   EXPECT_GE(exact_cov + 1e-9, greedy_cov);
 }
 
+/// The greedy MaxCoverage rule with every trial set scored from scratch by
+/// CoverageOfSet: first maximum in candidate order wins each round.
+std::vector<ElementId> GreedyOracle(const SummarizerContext& context,
+                                    size_t k) {
+  const std::vector<ElementId>& cands = context.dominance().candidates;
+  std::vector<ElementId> chosen;
+  for (size_t round = 0; round < k; ++round) {
+    ElementId best = kInvalidElement;
+    double best_cov = -1.0;
+    for (ElementId c : cands) {
+      if (std::find(chosen.begin(), chosen.end(), c) != chosen.end()) continue;
+      std::vector<ElementId> trial = chosen;
+      trial.push_back(c);
+      const double cov = CoverageOfSet(context.graph(), context.affinity(),
+                                       context.coverage(), trial);
+      if (cov > best_cov) {
+        best_cov = cov;
+        best = c;
+      }
+    }
+    if (best == kInvalidElement) break;
+    chosen.push_back(best);
+  }
+  return chosen;
+}
+
+TEST(SummarizeTest, GreedyMaxCoverageMatchesCoverageOfSetOracle) {
+  for (DatasetKind kind :
+       {DatasetKind::kXMark, DatasetKind::kTpch, DatasetKind::kMimi}) {
+    auto bundle = LoadDataset(kind, 0.02);
+    ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
+    for (uint32_t threads : {1u, 8u}) {
+      SummarizeOptions opts;
+      opts.max_coverage_enumeration_budget = 0;  // force greedy
+      opts.parallel.threads = threads;
+      auto context = SummarizerContext::Make(bundle->schema,
+                                             bundle->annotations, opts)
+                         .ValueOrDie();
+      for (size_t k : {1u, 4u, 10u}) {
+        if (context.dominance().candidates.size() <= k) continue;
+        auto selected = SelectMaxCoverage(context, k);
+        ASSERT_TRUE(selected.ok()) << selected.status().ToString();
+        EXPECT_EQ(*selected, GreedyOracle(context, k))
+            << bundle->name << " t" << threads << " k=" << k;
+      }
+    }
+  }
+}
+
 TEST(SummarizeTest, MaxCoverageAvoidsDominatedElements) {
   Fixture f;
   auto context = SummarizerContext::Make(f.schema, f.ann).ValueOrDie();

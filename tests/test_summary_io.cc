@@ -4,6 +4,7 @@
 #include "core/summary_io.h"
 #include "datasets/mimi.h"
 #include "stats/annotate.h"
+#include "temp_dir.h"
 
 namespace ssum {
 namespace {
@@ -56,7 +57,7 @@ TEST(SummaryIoTest, RejectsMalformedInput) {
 
 TEST(SummaryIoTest, FileRoundTrip) {
   Fixture f;
-  std::string path = testing::TempDir() + "/summary.txt";
+  std::string path = TestTempDir() + "/summary.txt";
   ASSERT_TRUE(WriteSummaryFile(f.summary, path).ok());
   auto loaded = ReadSummaryFile(f.ds.schema(), path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();

@@ -1033,7 +1033,11 @@ int Dispatch(const std::string& cmd, const Args& args) {
 int Main(int argc, char** argv) {
   // Applies --threads via SetDefaultThreadCount, so every kernel invoked
   // below picks it up through the default-constructed ParallelOptions.
-  ConsumeThreadsFlag(&argc, argv);
+  if (auto threads = ConsumeThreadsFlag(&argc, argv); !threads.ok()) {
+    std::fprintf(stderr, "ssum: error: %s\n",
+                 threads.status().ToString().c_str());
+    return kExitUsage;
+  }
   if (Status s = ConsumeLimitFlags(&argc, argv); !s.ok()) {
     std::fprintf(stderr, "ssum: error: %s\n", s.ToString().c_str());
     return kExitUsage;
