@@ -154,7 +154,7 @@ int SweepConvergenceThreshold(const DatasetBundle& bundle) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::ConsumeThreadsFlagOrExit(&argc, argv);
+  bench::ParseThreadsOrExit(argc, argv, "ablation_parameters");
   auto bundle = LoadDataset(DatasetKind::kMimi, 0.2);
   if (!bundle.ok()) {
     std::fprintf(stderr, "load failed: %s\n",

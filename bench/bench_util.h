@@ -9,20 +9,18 @@
 // bench/BENCH_*.json); --gate-only runs the gates and writes no record. An
 // unknown flag or a malformed value prints the usage line and exits 2 before
 // any work starts, and so does --json from a non-Release build: the
-// checked-in trajectory never holds unoptimized numbers.
+// checked-in trajectory never holds unoptimized numbers. The paper benches
+// and perf_microbench take only --threads N, through the same parser.
 #pragma once
 
 #include <algorithm>
 #include <chrono>
-#include <climits>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <functional>
 #include <string>
 #include <string_view>
 #include <system_error>
@@ -31,6 +29,7 @@
 #include <vector>
 
 #include "common/buildinfo.h"
+#include "common/flags.h"
 #include "common/parallel.h"
 #include "common/string_util.h"
 #include "core/path_engine.h"
@@ -121,87 +120,53 @@ struct BenchFlags {
   bool gate_only = false;
 };
 
-/// A bench-specific value flag, given as "--name V" or "--name=V".
-struct ValueFlag {
-  std::string name;     ///< "--sf"
-  std::string metavar;  ///< placeholder in the usage line
-  /// Stores a well-formed value; false rejects it.
-  std::function<bool(std::string_view)> set;
-};
-
-/// A finite double strictly above `above`.
-inline ValueFlag DoubleFlag(std::string name, double* out, double above) {
-  return {std::move(name), "X", [out, above](std::string_view v) {
-            const auto r = ParseDouble(v);
-            if (!r.ok() || !std::isfinite(*r) || !(*r > above)) return false;
-            *out = *r;
-            return true;
-          }};
-}
-
-/// An int of at least `at_least`.
-inline ValueFlag IntFlag(std::string name, int* out, int at_least) {
-  return {std::move(name), "N", [out, at_least](std::string_view v) {
-            const auto r = ParseInt64(v);
-            if (!r.ok() || *r < at_least || *r > INT_MAX) return false;
-            *out = static_cast<int>(*r);
-            return true;
-          }};
-}
-
-/// A non-empty string.
-inline ValueFlag StringFlag(std::string name, std::string metavar,
-                            std::string* out) {
-  return {std::move(name), std::move(metavar), [out](std::string_view v) {
-            if (v.empty()) return false;
-            *out = v;
-            return true;
-          }};
-}
-
-/// Parses the flags of bench `bench` (--threads is applied and removed
-/// first). See the top of this file for what exits 2.
-inline BenchFlags ParseBenchFlags(int argc, char** argv, const char* bench,
-                                  std::vector<ValueFlag> extra = {}) {
-  const Result<uint32_t> threads = ConsumeThreadsFlag(&argc, argv);
-  BenchFlags flags;
-  extra.insert(extra.begin(), StringFlag("--json", "PATH", &flags.json_path));
-  const auto usage = [&](const std::string& error) {
-    std::string line = std::string("usage: ") + bench +
-                       " [--json PATH | --gate-only] [--threads N]";
-    for (size_t i = 1; i < extra.size(); ++i) {
-      line += " [" + extra[i].name + " " + extra[i].metavar + "]";
-    }
-    std::fprintf(stderr, "%s: %s\n%s\n", bench, error.c_str(), line.c_str());
-    std::exit(2);
-  };
-  if (!threads.ok()) usage(threads.status().message());
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--gate-only") {
-      flags.gate_only = true;
-      continue;
-    }
-    const size_t eq = arg.find('=');
-    const std::string_view name = arg.substr(0, eq);
-    const auto flag =
-        std::find_if(extra.begin(), extra.end(),
-                     [&](const ValueFlag& f) { return f.name == name; });
-    if (flag == extra.end()) usage("unknown flag '" + std::string(arg) + "'");
-    std::string_view value;
-    if (eq != std::string_view::npos) {
-      value = arg.substr(eq + 1);
-    } else if (i + 1 < argc) {
-      value = argv[++i];
-    } else {
-      usage("missing value for " + flag->name);
-    }
-    if (!flag->set(value)) {
-      usage("bad value '" + std::string(value) + "' for " + flag->name);
-    }
+/// Parses bench `bench`'s command line, which takes no positional
+/// arguments, against `flags` plus --threads, and applies --threads. An
+/// error prints the reason and `usage` and exits 2.
+inline void ParseFlagsOrExit(int argc, char** argv, const char* bench,
+                             std::vector<Flag> flags,
+                             const std::string& usage) {
+  uint32_t threads = 0;
+  flags.push_back(ThreadsFlag(&threads));
+  const auto positional =
+      ParseFlags(std::vector<std::string>(argv + 1, argv + argc), flags);
+  std::string error;
+  if (!positional.ok()) {
+    error = positional.status().message();
+  } else if (!positional->empty()) {
+    error = "unexpected argument '" + positional->front() + "'";
   }
+  if (!error.empty()) {
+    std::fprintf(stderr, "%s: %s\n%s\n", bench, error.c_str(), usage.c_str());
+    std::exit(2);
+  }
+  if (threads > 0) SetDefaultThreadCount(threads);
+}
+
+/// Parses the flags of a bench that takes only --threads N.
+inline void ParseThreadsOrExit(int argc, char** argv, const char* bench) {
+  ParseFlagsOrExit(argc, argv, bench, {},
+                   std::string("usage: ") + bench + " [--threads N]");
+}
+
+/// Parses the flags of gated bench `bench`: --json, --gate-only and
+/// --threads plus its own `extra` flags. See the top of this file for what
+/// exits 2.
+inline BenchFlags ParseBenchFlags(int argc, char** argv, const char* bench,
+                                  std::vector<Flag> extra = {}) {
+  std::string usage = std::string("usage: ") + bench +
+                      " [--json PATH | --gate-only] [--threads N]";
+  for (const Flag& flag : extra) {
+    usage += " [" + flag.name + " " + flag.metavar + "]";
+  }
+  BenchFlags flags;
+  extra.push_back(StringFlag("--json", &flags.json_path, "PATH"));
+  extra.push_back(BoolFlag("--gate-only", &flags.gate_only));
+  ParseFlagsOrExit(argc, argv, bench, std::move(extra), usage);
   if (flags.gate_only && !flags.json_path.empty()) {
-    usage("--json and --gate-only are exclusive");
+    std::fprintf(stderr, "%s: --json and --gate-only are exclusive\n%s\n",
+                 bench, usage.c_str());
+    std::exit(2);
   }
   if (!flags.json_path.empty() && !IsReleaseBuild()) {
     std::fprintf(stderr,
@@ -212,16 +177,6 @@ inline BenchFlags ParseBenchFlags(int argc, char** argv, const char* bench,
     std::exit(2);
   }
   return flags;
-}
-
-/// Applies and removes --threads for a bench that takes no other harness
-/// flags; a missing or bad value prints the reason and exits 2.
-inline void ConsumeThreadsFlagOrExit(int* argc, char** argv) {
-  if (const Result<uint32_t> threads = ConsumeThreadsFlag(argc, argv);
-      !threads.ok()) {
-    std::fprintf(stderr, "%s\n", threads.status().ToString().c_str());
-    std::exit(2);
-  }
 }
 
 // ---------------------------------------------------------------------------

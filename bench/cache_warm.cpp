@@ -66,8 +66,9 @@ PipelineResult RunPipeline(double sf, ArtifactCache* cache, bool* ok) {
 
 int main(int argc, char** argv) {
   double sf = 0.5;
-  const BenchFlags flags = ParseBenchFlags(argc, argv, "cache_warm",
-                                           {DoubleFlag("--sf", &sf, 0.0)});
+  const BenchFlags flags = ParseBenchFlags(
+      argc, argv, "cache_warm",
+      {DoubleFlag("--sf", &sf, {.min = 0, .min_open = true})});
 
   const ScratchDir dir("cache_warm_bench");
   ArtifactCache cache(dir.path());

@@ -23,7 +23,7 @@
 using namespace ssum;
 
 int main(int argc, char** argv) {
-  bench::ConsumeThreadsFlagOrExit(&argc, argv);
+  bench::ParseThreadsOrExit(argc, argv, "conjecture_workload_focus");
   const double focuses[] = {0.0, 0.25, 0.5, 0.75, 1.0};
   TablePrinter table({"focus", "XMark saving%", "TPC-H saving%",
                       "MiMI saving%"});

@@ -17,7 +17,7 @@
 using namespace ssum;
 
 int main(int argc, char** argv) {
-  bench::ConsumeThreadsFlagOrExit(&argc, argv);
+  bench::ParseThreadsOrExit(argc, argv, "extension_multilevel");
   TablePrinter table({"dataset", "flat k=6", "flat k=18", "two-level 18->6",
                       "best-first (no summary)"});
   for (DatasetKind kind : {DatasetKind::kXMark, DatasetKind::kMimi}) {

@@ -11,7 +11,7 @@
 using namespace ssum;
 
 int main(int argc, char** argv) {
-  bench::ConsumeThreadsFlagOrExit(&argc, argv);
+  bench::ParseThreadsOrExit(argc, argv, "fig8_summary_size");
   auto bundle = LoadDataset(DatasetKind::kMimi);
   if (!bundle.ok()) {
     std::fprintf(stderr, "MiMI load failed: %s\n",

@@ -14,7 +14,7 @@
 using namespace ssum;
 
 int main(int argc, char** argv) {
-  bench::ConsumeThreadsFlagOrExit(&argc, argv);
+  bench::ParseThreadsOrExit(argc, argv, "fig9_structure_vs_data");
   std::vector<StructureVsDataRow> rows;
   for (DatasetKind kind :
        {DatasetKind::kXMark, DatasetKind::kTpch, DatasetKind::kMimi}) {

@@ -8,8 +8,8 @@
 // Emits machine-readable JSON via the standard google-benchmark flags
 // (--benchmark_out=<path> --benchmark_out_format=json); bench/run_bench.sh
 // wires this up to track the perf trajectory across PRs. A --threads N flag
-// (or SSUM_THREADS) sets the default worker count for the parallel kernels;
-// the *Threads benchmarks override it per-run.
+// (SSUM_THREADS is its fallback) sets the default worker count for the
+// parallel kernels; the *Threads benchmarks override it per-run.
 
 #include <benchmark/benchmark.h>
 
@@ -297,13 +297,13 @@ BENCHMARK(BM_WalkEngineBatched)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-// Expanded BENCHMARK_MAIN so --threads can be consumed before
-// benchmark::Initialize rejects it as an unknown flag, and so the recorded
-// trajectory can never contain debug-build numbers: any --benchmark_out
-// request from a non-release build is refused with exit 2
-// (bench/run_bench.sh builds the dedicated Release tree in build-bench/).
+// Expanded BENCHMARK_MAIN so --threads is parsed from what
+// benchmark::Initialize leaves of the command line (any other flag is a
+// usage error), and so the recorded trajectory can never contain
+// debug-build numbers: any --benchmark_out request from a non-release build
+// is refused with exit 2 (bench/run_bench.sh builds the dedicated Release
+// tree in build-bench/).
 int main(int argc, char** argv) {
-  bench::ConsumeThreadsFlagOrExit(&argc, argv);
   if (!ssum::IsReleaseBuild()) {
     for (int i = 1; i < argc; ++i) {
       if (std::strncmp(argv[i], "--benchmark_out", 15) == 0) {
@@ -317,7 +317,9 @@ int main(int argc, char** argv) {
   }
   benchmark::AddCustomContext("ssum_build_type", ssum::BuildType());
   benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  bench::ParseFlagsOrExit(argc, argv, "perf_microbench", {},
+                          "usage: perf_microbench [--threads N] "
+                          "[--benchmark_* flags]");
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

@@ -282,14 +282,10 @@ int main(int argc, char** argv) {
   std::string dir = SSUM_SCENARIO_CASE_DIR;
   const BenchFlags flags = ParseBenchFlags(
       argc, argv, "scenario_matrix",
-      {StringFlag("--tier", "quick|full|all", &tier),
-       StringFlag("--case", "NAME", &only_case),
-       StringFlag("--dir", "DIR", &dir)});
-  if (tier != "quick" && tier != "full" && tier != "all") {
-    std::fprintf(stderr, "scenario_matrix: unknown --tier '%s'\n",
-                 tier.c_str());
-    return 2;
-  }
+      {ChoiceFlag("--tier", &tier,
+                  {{"quick", "quick"}, {"full", "full"}, {"all", "all"}}),
+       StringFlag("--case", &only_case, "NAME"),
+       StringFlag("--dir", &dir, "DIR")});
 
   std::vector<std::string> files;
   {

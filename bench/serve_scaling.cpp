@@ -23,6 +23,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -247,8 +248,8 @@ int main(int argc, char** argv) {
   int duration_ms = 0;
   const BenchFlags flags =
       ParseBenchFlags(argc, argv, "serve_scaling",
-                      {IntFlag("--clients", &clients, 1),
-                       IntFlag("--duration-ms", &duration_ms, 1)});
+                      {IntFlag("--clients", &clients, 1, kMaxThreads),
+                       IntFlag("--duration-ms", &duration_ms, 1, INT_MAX)});
   if (duration_ms == 0) duration_ms = flags.gate_only ? 600 : 2500;
 
   std::printf("serve_scaling: %d clients, %d ms load phase\n", clients,

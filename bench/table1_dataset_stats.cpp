@@ -13,7 +13,7 @@
 using namespace ssum;
 
 int main(int argc, char** argv) {
-  bench::ConsumeThreadsFlagOrExit(&argc, argv);
+  bench::ParseThreadsOrExit(argc, argv, "table1_dataset_stats");
   TablePrinter table({"", "XMark", "TPC-H", "MiMI"});
   std::vector<DatasetBundle> bundles;
   for (DatasetKind kind :

@@ -60,7 +60,7 @@ int RunPanel(const char* title, const DatasetBundle& bundle,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::ConsumeThreadsFlagOrExit(&argc, argv);
+  bench::ParseThreadsOrExit(argc, argv, "table2_expert_agreement");
   std::printf("Table 2: agreement between automatic and expert summaries\n\n");
   {
     auto bundle = LoadDataset(DatasetKind::kXMark);

@@ -12,7 +12,7 @@
 using namespace ssum;
 
 int main(int argc, char** argv) {
-  bench::ConsumeThreadsFlagOrExit(&argc, argv);
+  bench::ParseThreadsOrExit(argc, argv, "table3_query_discovery");
   TablePrinter table({"Avg. cost", "XMark", "TPC-H", "MiMI"});
   std::vector<QueryDiscoveryRow> rows;
   for (DatasetKind kind :

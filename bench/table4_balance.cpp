@@ -13,7 +13,7 @@
 using namespace ssum;
 
 int main(int argc, char** argv) {
-  bench::ConsumeThreadsFlagOrExit(&argc, argv);
+  bench::ParseThreadsOrExit(argc, argv, "table4_balance");
   TablePrinter table({"Avg. cost", "XMark", "TPC-H", "MiMI"});
   std::vector<BalanceRow> rows;
   std::vector<std::string> prune_stats;

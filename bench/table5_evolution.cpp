@@ -14,7 +14,7 @@
 using namespace ssum;
 
 int main(int argc, char** argv) {
-  bench::ConsumeThreadsFlagOrExit(&argc, argv);
+  bench::ParseThreadsOrExit(argc, argv, "table5_evolution");
   const MimiVersion versions[] = {MimiVersion::kApr2004, MimiVersion::kJan2005,
                                   MimiVersion::kJan2006};
   const std::vector<size_t> sizes = {5, 10, 15};

@@ -16,7 +16,7 @@
 using namespace ssum;
 
 int main(int argc, char** argv) {
-  bench::ConsumeThreadsFlagOrExit(&argc, argv);
+  bench::ParseThreadsOrExit(argc, argv, "table6_er_baselines");
   auto bundle = LoadDataset(DatasetKind::kMimi);
   if (!bundle.ok()) {
     std::fprintf(stderr, "MiMI load failed: %s\n",

@@ -22,13 +22,13 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <string>
 #include <vector>
+
+#include "common/flags.h"
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size);
 
@@ -173,37 +173,33 @@ int main(int argc, char** argv) {
   uint64_t iterations = 1000;
   uint64_t seed = 1;
   size_t max_len = 4096;
-  std::vector<std::string> corpus_paths;
-  for (int i = 1; i < argc; ++i) {
-    auto next_value = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "fuzz driver: %s needs a value\n", flag);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (std::strcmp(argv[i], "--iterations") == 0) {
-      iterations = std::strtoull(next_value("--iterations"), nullptr, 10);
-    } else if (std::strcmp(argv[i], "--seed") == 0) {
-      seed = std::strtoull(next_value("--seed"), nullptr, 10);
-    } else if (std::strcmp(argv[i], "--max-len") == 0) {
-      max_len = std::strtoull(next_value("--max-len"), nullptr, 10);
-    } else if (std::strcmp(argv[i], "--help") == 0 ||
-               std::strcmp(argv[i], "-h") == 0) {
-      std::printf(
-          "usage: %s [--iterations N] [--seed S] [--max-len N] "
-          "[corpus-dir-or-file ...]\n"
-          "Replays the corpus, then runs N deterministic generated inputs\n"
-          "(raw bytes, corpus mutations, dictionary assembly) through\n"
-          "LLVMFuzzerTestOneInput. Same seed => same inputs.\n",
-          argv[0]);
-      return 0;
-    } else {
-      corpus_paths.push_back(argv[i]);
-    }
+  bool help = false;
+  const auto corpus_paths = ssum::ParseFlags(
+      std::vector<std::string>(argv + 1, argv + argc),
+      {ssum::IntFlag("--iterations", &iterations, 0, INT64_MAX),
+       ssum::IntFlag("--seed", &seed, 0, INT64_MAX),
+       // Bounded so that RandomBytes' max_len + 1 cannot wrap to 0.
+       ssum::IntFlag("--max-len", &max_len, 0, int64_t{1} << 30),
+       ssum::BoolFlag("--help", &help), ssum::BoolFlag("-h", &help)});
+  const char* const usage =
+      "usage: %s [--iterations N] [--seed S] [--max-len N] "
+      "[corpus-dir-or-file ...]\n";
+  if (!corpus_paths.ok()) {
+    std::fprintf(stderr, "fuzz driver: %s\n",
+                 corpus_paths.status().message().c_str());
+    std::fprintf(stderr, usage, argv[0]);
+    return 2;
+  }
+  if (help) {
+    std::printf(usage, argv[0]);
+    std::printf(
+        "Replays the corpus, then runs N deterministic generated inputs\n"
+        "(raw bytes, corpus mutations, dictionary assembly) through\n"
+        "LLVMFuzzerTestOneInput. Same seed => same inputs.\n");
+    return 0;
   }
 
-  const std::vector<std::string> corpus = LoadCorpus(corpus_paths);
+  const std::vector<std::string> corpus = LoadCorpus(*corpus_paths);
   for (const std::string& input : corpus) {
     LLVMFuzzerTestOneInput(reinterpret_cast<const uint8_t*>(input.data()),
                            input.size());

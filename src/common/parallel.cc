@@ -4,28 +4,14 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <exception>
 #include <string>
-
-#include "common/string_util.h"
 
 namespace ssum {
 
 namespace {
 
 std::atomic<uint32_t> g_default_threads{0};
-
-/// SSUM_THREADS, parsed fresh on every call (cheap, and keeps tests able to
-/// flip the variable at runtime). 0 when unset or unparsable.
-uint32_t EnvThreadOverride() {
-  const char* env = std::getenv("SSUM_THREADS");
-  if (env == nullptr || *env == '\0') return 0;
-  char* end = nullptr;
-  long v = std::strtol(env, &end, 10);
-  if (end == env || *end != '\0' || v <= 0) return 0;
-  return static_cast<uint32_t>(v);
-}
 
 }  // namespace
 
@@ -44,39 +30,7 @@ uint32_t DefaultThreadCount() {
 }
 
 uint32_t ResolveThreadCount(uint32_t requested) {
-  if (uint32_t env = EnvThreadOverride()) return env;
-  if (requested > 0) return requested;
-  return DefaultThreadCount();
-}
-
-Result<uint32_t> ConsumeThreadsFlag(int* argc, char** argv) {
-  uint32_t parsed = 0;
-  int out = 1;
-  for (int i = 1; i < *argc; ++i) {
-    std::string arg = argv[i];
-    std::string value;
-    if (arg == "--threads") {
-      if (i + 1 == *argc) {
-        return Status::InvalidArgument("missing value for --threads");
-      }
-      value = argv[++i];
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      value = arg.substr(10);
-    } else {
-      argv[out++] = argv[i];
-      continue;
-    }
-    const Result<int64_t> v = ParseInt64(value);
-    if (!v.ok() || *v <= 0 || *v > UINT32_MAX) {
-      return Status::InvalidArgument("--threads: '" + value +
-                                     "' is not a positive integer");
-    }
-    parsed = static_cast<uint32_t>(*v);
-  }
-  *argc = out;
-  argv[*argc] = nullptr;
-  if (parsed > 0) SetDefaultThreadCount(parsed);
-  return parsed;
+  return requested > 0 ? requested : DefaultThreadCount();
 }
 
 ThreadPool::ThreadPool(uint32_t num_threads) {

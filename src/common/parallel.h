@@ -18,9 +18,10 @@ namespace ssum {
 /// SummarizeOptions and the `--threads` flag of the CLIs and benches.
 /// (Still an aggregate: `ParallelOptions{1}` keeps meaning one thread.)
 struct ParallelOptions {
-  /// Worker threads for parallel kernels. 0 resolves via SSUM_THREADS, then
-  /// SetDefaultThreadCount, then the hardware concurrency; 1 always takes
-  /// the serial path. Every kernel guarantees bit-identical results across
+  /// Worker threads for parallel kernels. 0 resolves to the process default
+  /// (SetDefaultThreadCount, which the `--threads` flag and its SSUM_THREADS
+  /// fallback feed), then to the hardware concurrency; 1 always takes the
+  /// serial path. Every kernel guarantees bit-identical results across
   /// thread counts (see docs/performance.md).
   uint32_t threads = 0;
   /// Cooperative time budget / cancellation, checked before every chunk a
@@ -28,6 +29,10 @@ struct ParallelOptions {
   /// ParallelFor. Defaults to unlimited (a two-load no-op per chunk).
   Deadline deadline;
 };
+
+/// Upper bound of every thread-count flag (`--threads`, `ssum serve
+/// --workers`): the shared pool spawns one worker per thread on first use.
+inline constexpr uint32_t kMaxThreads = 1024;
 
 /// std::thread::hardware_concurrency(), never 0.
 uint32_t HardwareThreadCount();
@@ -38,19 +43,10 @@ uint32_t HardwareThreadCount();
 void SetDefaultThreadCount(uint32_t threads);
 uint32_t DefaultThreadCount();
 
-/// Effective thread count for one kernel invocation:
-///   1. SSUM_THREADS (if set to a positive integer) overrides everything —
-///      SSUM_THREADS=1 forces the serial path process-wide;
-///   2. otherwise an explicit `requested` > 0 wins;
-///   3. otherwise the process default (SetDefaultThreadCount / hardware).
+/// Effective thread count for one kernel invocation: an explicit
+/// `requested` > 0, otherwise the process default (SetDefaultThreadCount,
+/// then the hardware concurrency).
 uint32_t ResolveThreadCount(uint32_t requested);
-
-/// Parses and removes "--threads N" / "--threads=N" from an argv vector
-/// (before e.g. benchmark::Initialize consumes it) and applies the value via
-/// SetDefaultThreadCount. Returns the parsed count, 0 when absent. A missing
-/// value or one that is not a positive integer is kInvalidArgument and
-/// leaves the default thread count as it was.
-Result<uint32_t> ConsumeThreadsFlag(int* argc, char** argv);
 
 /// Fixed-size thread pool with a FIFO work queue. One shared instance backs
 /// every ParallelFor call (ThreadPool::Shared()); standalone pools are for

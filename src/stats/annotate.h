@@ -99,7 +99,7 @@ struct ShardedAnnotateOptions {
   /// every shard count, so the automatic choice never changes outputs.
   uint64_t shards = 0;
   /// Worker threads running the shards (ParallelFor); inherits the
-  /// process-wide default / SSUM_THREADS resolution.
+  /// process-wide default thread count.
   ParallelOptions parallel;
 };
 

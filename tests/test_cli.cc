@@ -20,18 +20,24 @@ std::string TempPath(const std::string& name) {
   return TestTempDir() + "/" + name;
 }
 
-/// Runs the CLI with `args`, capturing stdout into *out; returns the exit
-/// code (or -1 when the process could not run).
-int RunCli(const std::string& args, std::string* out = nullptr) {
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+/// Runs the CLI with `args`, capturing stdout into *out and stderr into
+/// *err; returns the exit code (or -1 when the process could not run).
+int RunCli(const std::string& args, std::string* out = nullptr,
+           std::string* err = nullptr) {
   std::string out_file = TempPath("cli_stdout.txt");
-  std::string cmd = CliPath() + " " + args + " > " + out_file + " 2>/dev/null";
+  std::string err_file = TempPath("cli_stderr.txt");
+  std::string cmd =
+      CliPath() + " " + args + " > " + out_file + " 2> " + err_file;
   int rc = std::system(cmd.c_str());
-  if (out != nullptr) {
-    std::ifstream in(out_file);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    *out = buf.str();
-  }
+  if (out != nullptr) *out = ReadFile(out_file);
+  if (err != nullptr) *err = ReadFile(err_file);
   return rc == -1 ? -1 : WEXITSTATUS(rc);
 }
 
@@ -61,6 +67,53 @@ TEST(CliTest, MalformedThreadsIsUsageError) {
         << threads;
   }
   EXPECT_EQ(RunCli("demo xmark -k 3 --threads"), 2);  // missing value
+}
+
+TEST(CliTest, UnknownFlagIsUsageError) {
+  // A misspelled global flag fails before any work: no cache directory.
+  const std::string typo_dir = TempPath("typo_cache");
+  std::string err;
+  EXPECT_EQ(RunCli("demo xmark -k 3 --cahce-dir " + typo_dir, nullptr, &err),
+            2);
+  EXPECT_NE(err.find("--cahce-dir"), std::string::npos) << err;
+  EXPECT_FALSE(std::filesystem::exists(typo_dir));
+
+  std::string xml = TempPath("shop_flags.xml");
+  std::string ssg = TempPath("shop_flags.ssg");
+  WriteFile(xml, kXml);
+  ASSERT_EQ(RunCli("infer " + xml + " -o " + ssg), 0);
+  // Another command's flag, and malformed values, are usage errors too.
+  for (const std::string& bad :
+       {"dot " + ssg + " --chain 3", "dot " + ssg + " --max-depth abc",
+        "dot " + ssg + " --hide-simple=yes", "summarize " + ssg + " -k 0",
+        "summarize " + ssg + " -k 2 --epsilon 2",
+        "summarize " + ssg + " -k 2 -g nope", "summarize " + ssg + " -k",
+        "gen --config " + xml + " --chain 2"}) {
+    EXPECT_EQ(RunCli(bad, nullptr, &err), 2) << bad;
+    EXPECT_NE(err.find("ssum: error: "), std::string::npos) << bad;
+  }
+  // Errors found after parsing keep their own exit code.
+  EXPECT_EQ(RunCli("summarize " + ssg + " -k 100"), 3);
+
+  // Global flags work before and after the command, in either spelling.
+  std::string before, after;
+  EXPECT_EQ(RunCli("--threads 2 --max-parse-depth 64 dot " + ssg +
+                       " --max-depth 1",
+                   &before),
+            0);
+  EXPECT_EQ(RunCli("dot " + ssg + " --max-depth=1 --threads=2 "
+                   "--max-parse-depth=64",
+                   &after),
+            0);
+  EXPECT_FALSE(before.empty());
+  EXPECT_EQ(before, after);
+
+  // SSUM_THREADS is the fallback of --threads: checked, and replaced by the
+  // flag wherever it appears.
+  setenv("SSUM_THREADS", "abc", 1);
+  EXPECT_EQ(RunCli("dot " + ssg), 2);
+  EXPECT_EQ(RunCli("dot " + ssg + " --threads 2"), 0);
+  unsetenv("SSUM_THREADS");
 }
 
 TEST(CliTest, XmlPipeline) {
@@ -114,8 +167,8 @@ TEST(CliTest, RelationalFromDdlAndCsv) {
   EXPECT_NE(out.find("customer"), std::string::npos);
   // Uniform fallback also works.
   EXPECT_EQ(RunCli("relational " + sql + " -k 1"), 0);
-  // Bad dialect rejected.
-  EXPECT_NE(RunCli("relational " + sql + " -k 1 --dialect nope"), 0);
+  // Bad dialect rejected as a usage error.
+  EXPECT_EQ(RunCli("relational " + sql + " -k 1 --dialect nope"), 2);
 }
 
 TEST(CliTest, ErrorsPropagateAsNonZeroExit) {

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <optional>
 #include <set>
 
+#include "common/flags.h"
 #include "common/logging.h"
+#include "common/parallel.h"
 #include "common/parse_limits.h"
 #include "common/random.h"
 #include "common/result.h"
@@ -226,6 +230,177 @@ TEST(LoggingTest, LevelGate) {
   EXPECT_EQ(GetLogLevel(), LogLevel::kError);
   SSUM_LOG(kInfo) << "suppressed";
   SetLogLevel(old);
+}
+
+/// Destinations of FlagSpecs(): one flag of each kind, with the ranges the
+/// CLI gives the same names.
+struct FlagValues {
+  uint32_t threads = 0;
+  std::optional<int64_t> deadline_ms;
+  uint32_t workers = 2;
+  uint32_t queue = 8;
+  uint32_t max_depth = 0;
+  double scale = 0.05;
+  double epsilon = 0.1;
+  std::string cache_dir;
+  std::string mode = "exact";
+  bool hide_simple = false;
+};
+
+std::vector<Flag> FlagSpecs(FlagValues* v) {
+  return {ThreadsFlag(&v->threads),
+          IntFlag("--deadline-ms", &v->deadline_ms, 0, INT64_MAX),
+          IntFlag("--workers", &v->workers, 1, kMaxThreads),
+          IntFlag("--queue", &v->queue, 0, UINT32_MAX),
+          IntFlag("--max-depth", &v->max_depth, 0, UINT32_MAX),
+          DoubleFlag("--scale", &v->scale, {.min = 0, .min_open = true}),
+          DoubleFlag("--epsilon", &v->epsilon,
+                     {.min = 0, .max = 1, .max_open = true}),
+          StringFlag("--cache-dir", &v->cache_dir).WithEnv("SSUM_CACHE_DIR"),
+          ChoiceFlag("--mode", &v->mode,
+                     {{"exact", "exact"}, {"approx", "approx"}}),
+          BoolFlag("--hide-simple", &v->hide_simple)};
+}
+
+Result<std::vector<std::string>> ParseTestFlags(
+    const std::vector<std::string>& args, FlagValues* v) {
+  return ParseFlags(args, FlagSpecs(v));
+}
+
+TEST(FlagsTest, BothSpellingsSetValuesAndKeepPositionals) {
+  unsetenv("SSUM_THREADS");
+  unsetenv("SSUM_CACHE_DIR");
+  for (const bool joined : {false, true}) {
+    const auto arg = [joined](std::vector<std::string>* args,
+                              const std::string& name,
+                              const std::string& value) {
+      if (joined) {
+        args->push_back(name + "=" + value);
+      } else {
+        args->push_back(name);
+        args->push_back(value);
+      }
+    };
+    std::vector<std::string> args = {"first"};
+    arg(&args, "--threads", "4");
+    arg(&args, "--deadline-ms", "0");
+    args.push_back("second");
+    arg(&args, "--scale", "2.5");
+    arg(&args, "--mode", "approx");
+    arg(&args, "--cache-dir", "a=b");
+    args.push_back("--hide-simple");
+    FlagValues v;
+    auto positional = ParseTestFlags(args, &v);
+    ASSERT_TRUE(positional.ok()) << positional.status().ToString();
+    EXPECT_EQ(*positional, (std::vector<std::string>{"first", "second"}));
+    EXPECT_EQ(v.threads, 4u);
+    EXPECT_EQ(v.deadline_ms, std::optional<int64_t>(0));
+    EXPECT_EQ(v.scale, 2.5);
+    EXPECT_EQ(v.mode, "approx");
+    EXPECT_EQ(v.cache_dir, "a=b");
+    EXPECT_TRUE(v.hide_simple);
+    EXPECT_EQ(v.workers, 2u);  // absent flags keep their defaults
+  }
+  FlagValues v;
+  ASSERT_TRUE(ParseTestFlags({}, &v).ok());
+  EXPECT_FALSE(v.deadline_ms.has_value());
+}
+
+TEST(FlagsTest, BadCommandLinesNameTheFlag) {
+  unsetenv("SSUM_THREADS");
+  unsetenv("SSUM_CACHE_DIR");
+  struct Case {
+    std::vector<std::string> args;
+    const char* named;  ///< must appear in the error message
+  };
+  const Case cases[] = {
+      {{"--cahce-dir", "D"}, "--cahce-dir"},
+      {{"-x"}, "-x"},
+      {{"--threads"}, "--threads"},  // missing value at the end
+      {{"pos", "--epsilon"}, "--epsilon"},
+      {{"--threads=abc"}, "--threads"},
+      {{"--threads", "0"}, "--threads"},
+      {{"--threads", "-3"}, "--threads"},
+      {{"--threads", "2x"}, "--threads"},
+      {{"--threads="}, "--threads"},
+      {{"--threads", "1025"}, "--threads"},
+      {{"--threads", "4294967297"}, "--threads"},
+      {{"--threads", "99999999999999999999"}, "--threads"},
+      // A negative number is taken as the value, then rejected by range.
+      {{"--deadline-ms", "-1"}, "--deadline-ms"},
+      {{"--workers", "0"}, "--workers"},
+      {{"--workers", "4294967297"}, "--workers"},
+      {{"--queue", "4294967296"}, "--queue"},
+      {{"--max-depth", "abc"}, "--max-depth"},
+      {{"--max-depth", "4294967296"}, "--max-depth"},
+      {{"--scale", "0"}, "--scale"},
+      {{"--scale", "nan"}, "--scale"},
+      {{"--scale", "inf"}, "--scale"},
+      {{"--scale", "-inf"}, "--scale"},
+      {{"--scale", "1e999"}, "--scale"},
+      {{"--epsilon", "nan"}, "--epsilon"},
+      {{"--epsilon", "1"}, "--epsilon"},
+      {{"--epsilon", "-0.5"}, "--epsilon"},
+      {{"--mode", "nope"}, "--mode"},
+      {{"--cache-dir="}, "--cache-dir"},
+      {{"--hide-simple=1"}, "--hide-simple"},
+  };
+  for (const Case& c : cases) {
+    FlagValues v;
+    auto positional = ParseTestFlags(c.args, &v);
+    ASSERT_FALSE(positional.ok()) << c.args.back();
+    EXPECT_EQ(positional.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(positional.status().message().find(c.named), std::string::npos)
+        << positional.status().message();
+  }
+}
+
+TEST(FlagsTest, EnvFallbackLosesToTheFlagAndIsChecked) {
+  setenv("SSUM_THREADS", "3", 1);
+  setenv("SSUM_CACHE_DIR", "/env/dir", 1);
+  FlagValues v;
+  ASSERT_TRUE(ParseTestFlags({}, &v).ok());
+  EXPECT_EQ(v.threads, 3u);
+  EXPECT_EQ(v.cache_dir, "/env/dir");
+
+  FlagValues flagged;
+  ASSERT_TRUE(ParseTestFlags({"--threads", "5", "--cache-dir=/flag/dir"},
+                             &flagged)
+                  .ok());
+  EXPECT_EQ(flagged.threads, 5u);
+  EXPECT_EQ(flagged.cache_dir, "/flag/dir");
+
+  // An empty variable counts as unset.
+  setenv("SSUM_THREADS", "", 1);
+  FlagValues unset;
+  ASSERT_TRUE(ParseTestFlags({}, &unset).ok());
+  EXPECT_EQ(unset.threads, 0u);
+
+  for (const char* bad : {"abc", "0", "2000"}) {
+    setenv("SSUM_THREADS", bad, 1);
+    FlagValues rejected;
+    auto positional = ParseTestFlags({}, &rejected);
+    ASSERT_FALSE(positional.ok()) << bad;
+    EXPECT_NE(positional.status().message().find("SSUM_THREADS"),
+              std::string::npos)
+        << positional.status().message();
+    // A valid flag still overrides a malformed variable it replaces.
+    EXPECT_TRUE(ParseTestFlags({"--threads", "2"}, &rejected).ok());
+  }
+  unsetenv("SSUM_THREADS");
+  unsetenv("SSUM_CACHE_DIR");
+}
+
+TEST(FlagsTest, StopAtPositionalLeavesTheRestUnparsed) {
+  // The variable is not read either: "--threads" may still follow "cmd".
+  setenv("SSUM_THREADS", "abc", 1);
+  FlagValues v;
+  auto rest = ParseFlags({"--queue", "2", "cmd", "--threads", "x"},
+                         FlagSpecs(&v), /*stop_at_positional=*/true);
+  ASSERT_TRUE(rest.ok()) << rest.status().ToString();
+  EXPECT_EQ(*rest, (std::vector<std::string>{"cmd", "--threads", "x"}));
+  EXPECT_EQ(v.queue, 2u);
+  unsetenv("SSUM_THREADS");
 }
 
 }  // namespace

@@ -16,29 +16,32 @@
 //   ssum query --connect host:port <verb> [dataset] [path...] [-k N] ...
 //   ssum help | --help
 //
+// Flags take "--name V" or "--name=V". The global flags go before or after
+// the command; a flag the command does not take is a usage error.
+//
 // All commands exit non-zero with a diagnostic on stderr when anything
 // fails; nothing throws and nothing aborts on malformed input. Exit codes:
 //   0  success
-//   2  usage error (unknown command, missing arguments)
+//   2  usage error (bad command line: unknown command or flag, missing
+//      argument, malformed or out-of-range flag value)
 //   3  bad input (parse errors, limit violations, missing/unreadable files)
 //   4  internal error (a library invariant failed — please report)
 //   5  deadline exceeded (--deadline-ms budget ran out before completion,
 //      locally or as a wire-level deadline error from a serving daemon)
 //   6  unavailable (the daemon shed the request under admission control)
 
-#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <optional>
 #include <sstream>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "common/deadline.h"
+#include "common/flags.h"
 #include "common/parallel.h"
 #include "common/parse_limits.h"
 #include "common/string_util.h"
@@ -77,19 +80,26 @@ constexpr int kExitInternal = 4;
 constexpr int kExitDeadline = 5;
 constexpr int kExitUnavailable = 6;
 
+/// Largest --deadline-ms (about 31 years); Deadline::After stays clear of
+/// steady_clock overflow below it.
+constexpr int64_t kMaxDeadlineMs = 1'000'000'000'000;
+
 /// Parse limits for every file ingested by the CLI; adjusted by the global
-/// --max-input-bytes / --max-parse-depth flags before dispatch.
+/// --max-input-bytes / --max-parse-depth flags before the command runs.
 ParseLimits g_limits = ParseLimits::Defaults();
+
+/// --threads / SSUM_THREADS; 0 leaves the hardware default.
+uint32_t g_threads = 0;
 
 /// Wall-clock budget from --deadline-ms; unlimited when the flag is absent.
 /// Checked cooperatively at parallel-chunk and instance-shard boundaries —
 /// an expired budget aborts the command with kExitDeadline.
 Deadline g_deadline;
 
-/// Raw --deadline-ms value (-1 = absent), forwarded verbatim as the
-/// wire-level deadline_ms field by `ssum query` so the *daemon* enforces
-/// the budget; a wire kDeadlineExceeded maps back to kExitDeadline.
-int64_t g_deadline_ms = -1;
+/// Raw --deadline-ms value, forwarded verbatim as the wire-level
+/// deadline_ms field by `ssum query` so the *daemon* enforces the budget; a
+/// wire kDeadlineExceeded maps back to kExitDeadline.
+std::optional<int64_t> g_deadline_ms;
 
 /// Warm-start cache directory from --cache-dir / SSUM_CACHE_DIR; empty
 /// means caching is off and every command computes from scratch.
@@ -161,7 +171,8 @@ void PrintUsage(std::FILE* to) {
       "                    shutdown\n"
       "  ssum help | --help\n"
       "\n"
-      "global flags:\n"
+      "global flags (before or after the command; every flag also takes\n"
+      "--name=V, and a flag the command does not take exits 2):\n"
       "  --cache-dir DIR      warm-start cache of binary snapshot containers\n"
       "                       (annotations, affinity/coverage matrices,\n"
       "                       summaries). A repeated invocation with the same\n"
@@ -170,8 +181,8 @@ void PrintUsage(std::FILE* to) {
       "                       fatal. SSUM_CACHE_DIR is the env fallback.\n"
       "  --threads N          worker threads for the parallel kernels\n"
       "                       (default: hardware concurrency; 1 = serial;\n"
-      "                       results are identical for every value).\n"
-      "                       SSUM_THREADS overrides.\n"
+      "                       results are identical for every value; at\n"
+      "                       most 1024). SSUM_THREADS is the env fallback.\n"
       "  --deadline-ms N      wall-clock budget for the command, checked\n"
       "                       cooperatively at parallel-chunk and\n"
       "                       instance-shard boundaries. An expired budget\n"
@@ -188,7 +199,8 @@ void PrintUsage(std::FILE* to) {
       "\n"
       "exit codes:\n"
       "  0  success\n"
-      "  2  usage error (unknown command, missing arguments)\n"
+      "  2  usage error (unknown command or flag, missing argument,\n"
+      "     malformed or out-of-range flag value)\n"
       "  3  bad input (parse errors, limit violations, unreadable files);\n"
       "     the diagnostic carries line and byte-offset context\n"
       "  4  internal error (a library invariant failed — please report)\n"
@@ -235,41 +247,65 @@ int Fail(const Status& status) {
   return ExitCodeFor(status);
 }
 
-/// Tiny flag parser: positional arguments plus "-x value" / "--flag [value]".
-struct Args {
-  std::vector<std::string> positional;
-  std::map<std::string, std::string> options;  // value-less flags map to ""
+/// A bad command line: the reason, then the usage exit code.
+int UsageError(const Status& status) {
+  std::fprintf(stderr, "ssum: error: %s\n", status.ToString().c_str());
+  return kExitUsage;
+}
 
-  static Args Parse(int argc, char** argv, int from,
-                    const std::vector<std::string>& value_flags) {
-    Args args;
-    for (int i = from; i < argc; ++i) {
-      std::string a = argv[i];
-      if (!a.empty() && a[0] == '-') {
-        bool takes_value =
-            std::find(value_flags.begin(), value_flags.end(), a) !=
-            value_flags.end();
-        if (takes_value && i + 1 < argc) {
-          args.options[a] = argv[++i];
-        } else {
-          args.options[a] = "";
-        }
-      } else {
-        args.positional.push_back(std::move(a));
-      }
-    }
-    return args;
-  }
+/// The global flags, accepted before or after every command.
+std::vector<Flag> GlobalFlags() {
+  return {ThreadsFlag(&g_threads),
+          StringFlag("--cache-dir", &g_cache_dir).WithEnv("SSUM_CACHE_DIR"),
+          IntFlag("--deadline-ms", &g_deadline_ms, 0, kMaxDeadlineMs),
+          IntFlag("--max-input-bytes", &g_limits.max_input_bytes, 1,
+                  INT64_MAX),
+          IntFlag("--max-parse-depth", &g_limits.max_depth, 1, INT64_MAX)};
+}
 
-  const std::string* Get(const std::string& flag) const {
-    auto it = options.find(flag);
-    return it == options.end() ? nullptr : &it->second;
-  }
-};
+/// Parses a whole command line against the command's own `flags` plus the
+/// global ones, then applies the globals. Returns the positional arguments
+/// after the command name; a bad command line prints the reason and exits
+/// with the usage code before the command does any work.
+std::vector<std::string> ParseCommandLine(const std::vector<std::string>& args,
+                                          std::vector<Flag> flags) {
+  for (Flag& flag : GlobalFlags()) flags.push_back(std::move(flag));
+  auto positional = ParseFlags(args, flags);
+  if (!positional.ok()) std::exit(UsageError(positional.status()));
+  positional->erase(positional->begin());  // the command name
+  if (g_threads > 0) SetDefaultThreadCount(g_threads);
+  // 0 is legal and means "already expired": the first cooperative check
+  // aborts, which is what makes the deadline path deterministically testable.
+  if (g_deadline_ms.has_value()) g_deadline = Deadline::After(*g_deadline_ms);
+  return *std::move(positional);
+}
 
-Status WriteOrPrint(const std::string& content, const std::string* path,
-                    const char* what) {
-  if (path == nullptr) {
+Flag KFlag(std::optional<size_t>* k) { return IntFlag("-k", k, 1, INT64_MAX); }
+
+Flag AlgorithmFlag(Algorithm* out) {
+  return ChoiceFlag("-g", out,
+                    {{"balance", Algorithm::kBalanceSummary},
+                     {"importance", Algorithm::kMaxImportance},
+                     {"coverage", Algorithm::kMaxCoverage}});
+}
+
+/// --mode / --epsilon for the coverage algorithm: approx routes MaxCoverage
+/// through the sketched lazy-greedy engine (near-linear, quality gated at
+/// >= 0.95x exact by bench/approx_scaling); epsilon trades sketch width for
+/// quality (docs/performance.md).
+Flag ModeFlag(SummaryMode* out) {
+  return ChoiceFlag("--mode", out,
+                    {{"exact", SummaryMode::kExact},
+                     {"approx", SummaryMode::kApprox}});
+}
+
+Flag EpsilonFlag(double* out) {
+  return DoubleFlag("--epsilon", out, {.min = 0, .max = 1, .max_open = true});
+}
+
+Status WriteOrPrint(const std::string& content,
+                    const std::optional<std::string>& path, const char* what) {
+  if (!path.has_value()) {
     std::fputs(content.c_str(), stdout);
     return Status::OK();
   }
@@ -282,39 +318,42 @@ Status WriteOrPrint(const std::string& content, const std::string* path,
   return Status::OK();
 }
 
-int CmdInfer(const Args& args) {
-  if (args.positional.empty()) return Usage();
-  auto doc = ReadXmlFile(args.positional[0], g_limits);
+int CmdInfer(const std::vector<std::string>& args) {
+  std::optional<std::string> out;
+  const auto positional = ParseCommandLine(args, {StringFlag("-o", &out)});
+  if (positional.empty()) return Usage();
+  auto doc = ReadXmlFile(positional[0], g_limits);
   if (!doc.ok()) return Fail(doc.status());
   auto schema = InferSchema(*doc);
   if (!schema.ok()) return Fail(schema.status());
   std::fprintf(stderr, "ssum: inferred %zu elements\n", schema->size());
-  Status s = WriteOrPrint(SerializeSchema(*schema), args.Get("-o"), "schema");
+  Status s = WriteOrPrint(SerializeSchema(*schema), out, "schema");
   return s.ok() ? 0 : Fail(s);
 }
 
-int CmdAnnotate(const Args& args) {
-  if (args.positional.size() < 2) return Usage();
-  auto schema = ReadSchemaFile(args.positional[0], g_limits);
+int CmdAnnotate(const std::vector<std::string>& args) {
+  std::optional<std::string> out;
+  const auto positional = ParseCommandLine(args, {StringFlag("-o", &out)});
+  if (positional.size() < 2) return Usage();
+  auto schema = ReadSchemaFile(positional[0], g_limits);
   if (!schema.ok()) return Fail(schema.status());
   // File-backed inputs are keyed by their bytes: schema fingerprint mixed
   // with the XML file fingerprint. A hit skips the XML parse entirely.
   ArtifactCache* cache = GetCache();
   Fingerprint key;
   if (cache != nullptr) {
-    auto file_fp = FingerprintFile(args.positional[1]);
+    auto file_fp = FingerprintFile(positional[1]);
     if (file_fp.ok()) {
       key = MixFingerprints(FingerprintSchema(*schema), *file_fp);
       if (auto hit = cache->LoadAnnotations(*schema, key)) {
-        Status s = WriteOrPrint(SerializeAnnotations(*hit), args.Get("-o"),
-                                "annotations");
+        Status s = WriteOrPrint(SerializeAnnotations(*hit), out, "annotations");
         return s.ok() ? 0 : Fail(s);
       }
     } else {
       cache = nullptr;  // unreadable input: let ReadXmlFile report it
     }
   }
-  auto doc = ReadXmlFile(args.positional[1], g_limits);
+  auto doc = ReadXmlFile(positional[1], g_limits);
   if (!doc.ok()) return Fail(doc.status());
   ShardedAnnotateOptions aopts;
   aopts.parallel.deadline = g_deadline;
@@ -326,61 +365,36 @@ int CmdAnnotate(const Args& args) {
                    s.ToString().c_str());
     }
   }
-  Status s = WriteOrPrint(SerializeAnnotations(*ann), args.Get("-o"),
-                          "annotations");
+  Status s = WriteOrPrint(SerializeAnnotations(*ann), out, "annotations");
   return s.ok() ? 0 : Fail(s);
 }
 
-/// --mode / --epsilon for the coverage algorithm: approx routes MaxCoverage
-/// through the sketched lazy-greedy engine (near-linear, quality gated at
-/// >= 0.95x exact by bench/approx_scaling); epsilon trades sketch width for
-/// quality (docs/performance.md).
-Result<SummarizeOptions> ParseSummarizeOptions(const Args& args) {
+/// The flags of `ssum summarize`.
+struct SummarizeFlags {
+  std::optional<size_t> k;
+  std::optional<std::string> annotations;  ///< -a
+  std::optional<std::string> out;          ///< -o
+  std::optional<std::string> dot;          ///< --dot
+  std::optional<std::string> base;         ///< --base
+  Algorithm algorithm = Algorithm::kBalanceSummary;
   SummarizeOptions options;
-  if (const std::string* m = args.Get("--mode")) {
-    if (*m == "exact") {
-      options.mode = SummaryMode::kExact;
-    } else if (*m == "approx") {
-      options.mode = SummaryMode::kApprox;
-    } else {
-      return Status::InvalidArgument("unknown mode '" + *m +
-                                     "' (exact|approx)");
-    }
-  }
-  if (const std::string* e = args.Get("--epsilon")) {
-    auto eps = ParseDouble(*e);
-    if (!eps.ok() || *eps < 0.0 || *eps >= 1.0) {
-      return Status::InvalidArgument("--epsilon needs a number in [0, 1)");
-    }
-    options.approx_epsilon = *eps;
-  }
-  return options;
-}
-
-Result<Algorithm> ParseAlgorithm(const Args& args) {
-  const std::string* g = args.Get("-g");
-  if (g == nullptr || *g == "balance") return Algorithm::kBalanceSummary;
-  if (*g == "importance") return Algorithm::kMaxImportance;
-  if (*g == "coverage") return Algorithm::kMaxCoverage;
-  return Status::InvalidArgument("unknown algorithm '" + *g +
-                                 "' (balance|importance|coverage)");
-}
+};
 
 /// Shared tail of the summarize commands: report the selection, honor
 /// --dot and -o.
 int EmitSummary(const SchemaGraph& schema, const SchemaSummary& summary,
-                Algorithm alg, const Args& args) {
-  std::fprintf(stderr, "ssum: %s selected:\n", AlgorithmName(alg));
+                const SummarizeFlags& flags) {
+  std::fprintf(stderr, "ssum: %s selected:\n", AlgorithmName(flags.algorithm));
   for (ElementId a : summary.abstract_elements) {
     std::fprintf(stderr, "  %-55s (%zu elements)\n", schema.PathOf(a).c_str(),
                  summary.Group(a).size());
   }
-  if (const std::string* dot = args.Get("--dot")) {
-    Status s = WriteOrPrint(ExportSummaryDot(summary), dot, "summary DOT");
+  if (flags.dot.has_value()) {
+    Status s = WriteOrPrint(ExportSummaryDot(summary), flags.dot,
+                            "summary DOT");
     if (!s.ok()) return Fail(s);
   }
-  Status s = WriteOrPrint(SerializeSummary(summary), args.Get("-o"),
-                          "summary");
+  Status s = WriteOrPrint(SerializeSummary(summary), flags.out, "summary");
   return s.ok() ? 0 : Fail(s);
 }
 
@@ -390,29 +404,12 @@ int EmitSummary(const SchemaGraph& schema, const SchemaSummary& summary,
 /// statistics. Delta annotation degrades to a cold annotation when it cannot
 /// run (schema changed, no usable base); the summary is bit-identical either
 /// way.
-int CmdSummarizeIncremental(const Args& args) {
-  if (args.positional.empty() || args.Get("-k") == nullptr) return Usage();
-  auto base_spec = LoadScenarioSpecFile(*args.Get("--base"), g_limits);
+int CmdSummarizeIncremental(const std::string& next_path,
+                            const SummarizeFlags& flags) {
+  auto base_spec = LoadScenarioSpecFile(*flags.base, g_limits);
   if (!base_spec.ok()) return Fail(base_spec.status());
-  auto next_spec = LoadScenarioSpecFile(args.positional[0], g_limits);
+  auto next_spec = LoadScenarioSpecFile(next_path, g_limits);
   if (!next_spec.ok()) return Fail(next_spec.status());
-  auto k = ParseInt64(*args.Get("-k"));
-  if (!k.ok() || *k <= 0) {
-    return Fail(Status::InvalidArgument("-k needs a positive integer"));
-  }
-  Algorithm alg;
-  {
-    auto parsed = ParseAlgorithm(args);
-    if (!parsed.ok()) return Fail(parsed.status());
-    alg = *parsed;
-  }
-  SummarizeOptions options;
-  {
-    auto parsed = ParseSummarizeOptions(args);
-    if (!parsed.ok()) return Fail(parsed.status());
-    options = *parsed;
-  }
-  options.parallel.deadline = g_deadline;
   auto base_ds = ScenarioDataset::Make(*base_spec);
   if (!base_ds.ok()) return Fail(base_ds.status());
   auto next_ds = ScenarioDataset::Make(*next_spec);
@@ -432,25 +429,32 @@ int CmdSummarizeIncremental(const Args& args) {
                  delta->fallback_reason.c_str());
   }
   auto context = SummarizerContext::Make(next_ds->schema(), delta->annotations,
-                                         options, cache);
+                                         flags.options, cache);
   if (!context.ok()) return Fail(context.status());
-  auto summary = Summarize(*context, static_cast<size_t>(*k), alg);
+  auto summary = Summarize(*context, *flags.k, flags.algorithm);
   if (!summary.ok()) return Fail(summary.status());
-  return EmitSummary(next_ds->schema(), *summary, alg, args);
+  return EmitSummary(next_ds->schema(), *summary, flags);
 }
 
-int CmdSummarize(const Args& args) {
-  if (args.Get("--base") != nullptr) return CmdSummarizeIncremental(args);
-  if (args.positional.empty() || args.Get("-k") == nullptr) return Usage();
-  auto schema = ReadSchemaFile(args.positional[0], g_limits);
-  if (!schema.ok()) return Fail(schema.status());
-  auto k = ParseInt64(*args.Get("-k"));
-  if (!k.ok() || *k <= 0) {
-    return Fail(Status::InvalidArgument("-k needs a positive integer"));
+int CmdSummarize(const std::vector<std::string>& args) {
+  SummarizeFlags flags;
+  const auto positional = ParseCommandLine(
+      args, {KFlag(&flags.k), StringFlag("-a", &flags.annotations),
+             AlgorithmFlag(&flags.algorithm), StringFlag("-o", &flags.out),
+             ModeFlag(&flags.options.mode),
+             EpsilonFlag(&flags.options.approx_epsilon),
+             StringFlag("--dot", &flags.dot),
+             StringFlag("--base", &flags.base)});
+  if (positional.empty() || !flags.k.has_value()) return Usage();
+  flags.options.parallel.deadline = g_deadline;
+  if (flags.base.has_value()) {
+    return CmdSummarizeIncremental(positional[0], flags);
   }
+  auto schema = ReadSchemaFile(positional[0], g_limits);
+  if (!schema.ok()) return Fail(schema.status());
   Annotations ann = Annotations::Uniform(*schema);
-  if (const std::string* apath = args.Get("-a")) {
-    auto loaded = ReadAnnotationsFile(*schema, *apath, g_limits);
+  if (flags.annotations.has_value()) {
+    auto loaded = ReadAnnotationsFile(*schema, *flags.annotations, g_limits);
     if (!loaded.ok()) return Fail(loaded.status());
     ann = std::move(*loaded);
   } else {
@@ -458,54 +462,37 @@ int CmdSummarize(const Args& args) {
                  "ssum: no annotations given; falling back to uniform "
                  "(schema-driven) statistics\n");
   }
-  Algorithm alg;
-  {
-    auto parsed = ParseAlgorithm(args);
-    if (!parsed.ok()) return Fail(parsed.status());
-    alg = *parsed;
-  }
-  SummarizeOptions options;
-  {
-    auto parsed = ParseSummarizeOptions(args);
-    if (!parsed.ok()) return Fail(parsed.status());
-    options = *parsed;
-  }
-  options.parallel.deadline = g_deadline;
   // The library's warm-start one-shot consults three cache layers: a summary
   // hit skips everything; otherwise the context constructor tries the two
   // matrices; whatever was computed is installed for the next invocation.
-  auto summary =
-      Summarize(*schema, ann, static_cast<size_t>(*k), alg, options,
-                GetCache());
+  auto summary = Summarize(*schema, ann, *flags.k, flags.algorithm,
+                           flags.options, GetCache());
   if (!summary.ok()) return Fail(summary.status());
-  return EmitSummary(*schema, *summary, alg, args);
+  return EmitSummary(*schema, *summary, flags);
 }
 
-int CmdDot(const Args& args) {
-  if (args.positional.empty()) return Usage();
-  auto schema = ReadSchemaFile(args.positional[0], g_limits);
-  if (!schema.ok()) return Fail(schema.status());
+int CmdDot(const std::vector<std::string>& args) {
+  std::optional<std::string> out;
   DotOptions options;
-  options.hide_simple = args.Get("--hide-simple") != nullptr;
-  if (const std::string* d = args.Get("--max-depth")) {
-    auto depth = ParseInt64(*d);
-    if (!depth.ok() || *depth < 0) {
-      return Fail(Status::InvalidArgument("--max-depth needs an integer"));
-    }
-    options.max_depth = static_cast<uint32_t>(*depth);
-  }
-  Status s = WriteOrPrint(ExportDot(*schema, options), args.Get("-o"), "DOT");
+  const auto positional = ParseCommandLine(
+      args, {StringFlag("-o", &out),
+             BoolFlag("--hide-simple", &options.hide_simple),
+             IntFlag("--max-depth", &options.max_depth, 0, UINT32_MAX)});
+  if (positional.empty()) return Usage();
+  auto schema = ReadSchemaFile(positional[0], g_limits);
+  if (!schema.ok()) return Fail(schema.status());
+  Status s = WriteOrPrint(ExportDot(*schema, options), out, "DOT");
   return s.ok() ? 0 : Fail(s);
 }
 
-int CmdDiscover(const Args& args) {
-  if (args.positional.size() < 3) return Usage();
-  auto schema = ReadSchemaFile(args.positional[0], g_limits);
+int CmdDiscover(const std::vector<std::string>& args) {
+  const auto positional = ParseCommandLine(args, {});
+  if (positional.size() < 3) return Usage();
+  auto schema = ReadSchemaFile(positional[0], g_limits);
   if (!schema.ok()) return Fail(schema.status());
-  auto summary = ReadSummaryFile(*schema, args.positional[1], g_limits);
+  auto summary = ReadSummaryFile(*schema, positional[1], g_limits);
   if (!summary.ok()) return Fail(summary.status());
-  std::vector<std::string> paths(args.positional.begin() + 2,
-                                 args.positional.end());
+  std::vector<std::string> paths(positional.begin() + 2, positional.end());
   auto intention = MakeIntention(*schema, "cli", paths);
   if (!intention.ok()) return Fail(intention.status());
   DiscoveryOracle oracle(*schema);
@@ -523,11 +510,19 @@ int CmdDiscover(const Args& args) {
   return 0;
 }
 
-int CmdRelational(const Args& args) {
-  if (args.positional.empty() || args.Get("-k") == nullptr) return Usage();
-  std::ifstream in(args.positional[0]);
+int CmdRelational(const std::vector<std::string>& args) {
+  std::optional<size_t> k;
+  std::optional<std::string> data_dir;
+  CsvOptions csv;
+  const CsvOptions pipe{.delimiter = '|', .header = false,
+                        .allow_quotes = false};
+  const auto positional = ParseCommandLine(
+      args, {KFlag(&k), StringFlag("--data", &data_dir),
+             ChoiceFlag("--dialect", &csv, {{"csv", csv}, {"pipe", pipe}})});
+  if (positional.empty() || !k.has_value()) return Usage();
+  std::ifstream in(positional[0]);
   if (!in) {
-    return Fail(Status::IoError("cannot open '" + args.positional[0] + "'"));
+    return Fail(Status::IoError("cannot open '" + positional[0] + "'"));
   }
   std::ostringstream buf;
   buf << in.rdbuf();
@@ -538,27 +533,13 @@ int CmdRelational(const Args& args) {
   std::fprintf(stderr, "ssum: %zu tables -> %zu schema elements, %zu FKs\n",
                catalog->tables().size(), mapping->graph.size(),
                mapping->graph.value_links().size());
-  auto k = ParseInt64(*args.Get("-k"));
-  if (!k.ok() || *k <= 0) {
-    return Fail(Status::InvalidArgument("-k needs a positive integer"));
-  }
   Annotations ann = Annotations::Uniform(mapping->graph);
-  CsvOptions csv;
-  if (const std::string* dialect = args.Get("--dialect")) {
-    if (*dialect == "pipe") {
-      csv.delimiter = '|';
-      csv.header = false;
-      csv.allow_quotes = false;
-    } else if (*dialect != "csv") {
-      return Fail(Status::InvalidArgument("--dialect must be csv or pipe"));
-    }
-  }
-  if (const std::string* dir = args.Get("--data")) {
+  if (data_dir.has_value()) {
     // Load <dir>/<table>.csv for every table; missing files are empty
     // relations.
     Database db(&*catalog);
     for (size_t t = 0; t < catalog->tables().size(); ++t) {
-      std::string path = *dir + "/" + catalog->tables()[t].name + ".csv";
+      std::string path = *data_dir + "/" + catalog->tables()[t].name + ".csv";
       std::ifstream table_in(path);
       if (!table_in) {
         std::fprintf(stderr, "ssum: %s missing; treating as empty\n",
@@ -585,9 +566,9 @@ int CmdRelational(const Args& args) {
   auto context =
       SummarizerContext::Make(mapping->graph, ann, options, GetCache());
   if (!context.ok()) return Fail(context.status());
-  auto summary = Summarize(*context, static_cast<size_t>(*k));
+  auto summary = Summarize(*context, *k);
   if (!summary.ok()) return Fail(summary.status());
-  std::printf("size-%lld summary:\n", static_cast<long long>(*k));
+  std::printf("size-%zu summary:\n", *k);
   for (ElementId a : summary->abstract_elements) {
     std::printf("  %-30s represents %zu elements\n",
                 mapping->graph.label(a).c_str(), summary->Group(a).size());
@@ -595,22 +576,16 @@ int CmdRelational(const Args& args) {
   return 0;
 }
 
-int CmdDemo(const Args& args) {
-  if (args.positional.empty()) return Usage();
-  const std::string& name = args.positional[0];
+int CmdDemo(const std::vector<std::string>& args) {
+  std::optional<size_t> k = 10;
+  const auto positional = ParseCommandLine(args, {KFlag(&k)});
+  if (positional.empty()) return Usage();
+  const std::string& name = positional[0];
   DatasetKind kind;
   if (name == "xmark") kind = DatasetKind::kXMark;
   else if (name == "tpch") kind = DatasetKind::kTpch;
   else if (name == "mimi") kind = DatasetKind::kMimi;
   else return Usage();
-  size_t k = 10;
-  if (const std::string* kflag = args.Get("-k")) {
-    auto parsed = ParseInt64(*kflag);
-    if (!parsed.ok() || *parsed <= 0) {
-      return Fail(Status::InvalidArgument("-k needs a positive integer"));
-    }
-    k = static_cast<size_t>(*parsed);
-  }
   // A reduced scale keeps the demo instant; RCs are scale-invariant.
   ArtifactCache* cache = GetCache();
   auto bundle = LoadDataset(kind, 0.05, cache);
@@ -625,9 +600,9 @@ int CmdDemo(const Args& args) {
   auto context = SummarizerContext::Make(bundle->schema, bundle->annotations,
                                          options, cache);
   if (!context.ok()) return Fail(context.status());
-  auto summary = Summarize(*context, k);
+  auto summary = Summarize(*context, *k);
   if (!summary.ok()) return Fail(summary.status());
-  std::printf("\nsize-%zu BalanceSummary:\n", k);
+  std::printf("\nsize-%zu BalanceSummary:\n", *k);
   for (ElementId a : summary->abstract_elements) {
     std::printf("  %-55s (%zu elements, importance %.0f)\n",
                 bundle->schema.PathOf(a).c_str(), summary->Group(a).size(),
@@ -649,9 +624,17 @@ int CmdDemo(const Args& args) {
 /// `ssum gen --config case.scn`: generate a scenario dataset from a config
 /// (docs/scenarios.md), annotate it (cache-aware, like the built-ins), and
 /// optionally export the artifacts and a materialized XML instance.
-int CmdGen(const Args& args) {
-  const std::string* config_path = args.Get("--config");
-  if (config_path == nullptr) return Usage();
+int CmdGen(const std::vector<std::string>& args) {
+  std::optional<std::string> config_path, out_dir, xml_path;
+  std::optional<int64_t> chain;
+  const auto positional = ParseCommandLine(
+      args, {StringFlag("--config", &config_path),
+             StringFlag("--out-dir", &out_dir), StringFlag("--xml", &xml_path),
+             IntFlag("--chain", &chain, 1, 1000)});
+  if (!config_path.has_value()) return Usage();
+  if (chain.has_value() && !out_dir.has_value()) {
+    return UsageError(Status::InvalidArgument("--chain needs --out-dir"));
+  }
   auto spec = LoadScenarioSpecFile(*config_path, g_limits);
   if (!spec.ok()) return Fail(spec.status());
   auto bundle = LoadScenario(*spec, GetCache());
@@ -664,11 +647,11 @@ int CmdGen(const Args& args) {
       FormatWithCommas(static_cast<int64_t>(spec->instance_units)).c_str(),
       FormatWithCommas(static_cast<int64_t>(bundle->data_elements)).c_str(),
       bundle->workload.size(), spec->tier.c_str());
-  if (const std::string* dir = args.Get("--out-dir")) {
+  if (out_dir.has_value()) {
     std::error_code ec;
-    std::filesystem::create_directories(*dir, ec);
+    std::filesystem::create_directories(*out_dir, ec);
     if (ec) {
-      return Fail(Status::IoError("cannot create '" + *dir + "': " +
+      return Fail(Status::IoError("cannot create '" + *out_dir + "': " +
                                   ec.message()));
     }
     struct Artifact {
@@ -682,12 +665,11 @@ int CmdGen(const Args& args) {
         {"spec.scn", SerializeScenarioSpec(*spec)},
     };
     for (const Artifact& a : artifacts) {
-      std::string path = *dir + "/" + a.file;
-      Status s = WriteOrPrint(a.content, &path, a.file);
+      Status s = WriteOrPrint(a.content, *out_dir + "/" + a.file, a.file);
       if (!s.ok()) return Fail(s);
     }
   }
-  if (const std::string* xml_path = args.Get("--xml")) {
+  if (xml_path.has_value()) {
     auto ds = ScenarioDataset::Make(*spec);
     if (!ds.ok()) return Fail(ds.status());
     auto doc = MaterializeToXml(*ds->MakeStream());
@@ -696,37 +678,30 @@ int CmdGen(const Args& args) {
     std::fprintf(stderr, "ssum: instance XML written to %s\n",
                  xml_path->c_str());
   }
-  if (const std::string* chain = args.Get("--chain")) {
-    const std::string* dir = args.Get("--out-dir");
-    if (dir == nullptr) {
-      return Fail(Status::InvalidArgument("--chain needs --out-dir"));
-    }
-    auto n = ParseInt64(*chain);
-    if (!n.ok() || *n <= 0 || *n > 1000) {
-      return Fail(
-          Status::InvalidArgument("--chain needs an integer in [1, 1000]"));
-    }
+  if (chain.has_value()) {
     // v0 is the base spec verbatim; each later version differs only in the
     // per-unit mutation knobs (same name, same schema, same unit layout), so
     // consecutive versions stay on the analytic dirty-unit fast path of
     // `summarize --base`.
-    for (int64_t i = 0; i <= *n; ++i) {
+    for (int64_t i = 0; i <= *chain; ++i) {
       ScenarioSpec v = *spec;
       if (i > 0) {
         v.mutate_seed = static_cast<uint64_t>(i);
         if (v.mutate_fraction <= 0.0) v.mutate_fraction = 0.05;
       }
-      std::string path = *dir + "/v" + std::to_string(i) + ".scn";
-      Status s = WriteOrPrint(SerializeScenarioSpec(v), &path, "version spec");
+      Status s = WriteOrPrint(SerializeScenarioSpec(v),
+                              *out_dir + "/v" + std::to_string(i) + ".scn",
+                              "version spec");
       if (!s.ok()) return Fail(s);
     }
   }
   return 0;
 }
 
-int CmdCache(const Args& args) {
-  if (args.positional.empty()) return Usage();
-  const std::string& sub = args.positional[0];
+int CmdCache(const std::vector<std::string>& args) {
+  const auto positional = ParseCommandLine(args, {});
+  if (positional.empty()) return Usage();
+  const std::string& sub = positional[0];
   ArtifactCache* cache = GetCache();
   if (cache == nullptr) {
     std::fprintf(stderr,
@@ -826,52 +801,27 @@ int CmdCache(const Args& args) {
   return Usage();
 }
 
-int CmdServe(const Args& args) {
+int CmdServe(const std::vector<std::string>& args) {
   ServeServerOptions options;
+  std::optional<std::string> port_file;
+  ParseCommandLine(
+      args,
+      {StringFlag("--listen", &options.listen),
+       IntFlag("--workers", &options.workers, 1, kMaxThreads),
+       IntFlag("--queue", &options.queue_depth, 0, UINT32_MAX),
+       DoubleFlag("--scale", &options.dataset_scale,
+                  {.min = 0, .min_open = true}),
+       StringFlag("--scenario-dir", &options.scenario_dir),
+       StringFlag("--port-file", &port_file),
+       IntFlag("--slow-ms", &options.slow_request_ms, 0, UINT32_MAX)});
   options.cache_dir = g_cache_dir;
   options.limits = g_limits;
-  if (const std::string* listen = args.Get("--listen")) {
-    options.listen = *listen;
-  }
-  if (const std::string* workers = args.Get("--workers")) {
-    auto v = ParseInt64(*workers);
-    if (!v.ok() || *v <= 0) {
-      return Fail(Status::InvalidArgument("--workers needs a positive integer"));
-    }
-    options.workers = static_cast<uint32_t>(*v);
-  }
-  if (const std::string* queue = args.Get("--queue")) {
-    auto v = ParseInt64(*queue);
-    if (!v.ok() || *v < 0) {
-      return Fail(
-          Status::InvalidArgument("--queue needs a non-negative integer"));
-    }
-    options.queue_depth = static_cast<uint32_t>(*v);
-  }
-  if (const std::string* scale = args.Get("--scale")) {
-    auto v = ParseDouble(*scale);
-    if (!v.ok() || *v <= 0.0) {
-      return Fail(Status::InvalidArgument("--scale needs a positive number"));
-    }
-    options.dataset_scale = *v;
-  }
-  if (const std::string* dir = args.Get("--scenario-dir")) {
-    options.scenario_dir = *dir;
-  }
-  if (const std::string* slow = args.Get("--slow-ms")) {
-    auto v = ParseInt64(*slow);
-    if (!v.ok() || *v < 0) {
-      return Fail(
-          Status::InvalidArgument("--slow-ms needs a non-negative integer"));
-    }
-    options.slow_request_ms = static_cast<uint32_t>(*v);
-  }
   SummarizeServer server(std::move(options));
   if (Status s = server.Start(); !s.ok()) return Fail(s);
   // The actual bound address resolves an ephemeral ":0" port; scripts read
   // it from --port-file instead of scraping stderr.
   std::fprintf(stderr, "ssum: serving on %s\n", server.address().c_str());
-  if (const std::string* port_file = args.Get("--port-file")) {
+  if (port_file.has_value()) {
     std::ofstream out(*port_file, std::ios::trunc);
     out << server.port() << "\n";
     out.flush();
@@ -886,48 +836,28 @@ int CmdServe(const Args& args) {
   return kExitOk;
 }
 
-int CmdQuery(const Args& args) {
-  const std::string* addr = args.Get("--connect");
-  if (addr == nullptr || args.positional.empty()) return Usage();
+int CmdQuery(const std::vector<std::string>& args) {
+  std::optional<std::string> addr;
   ServeRequest request;
+  const auto positional = ParseCommandLine(
+      args, {StringFlag("--connect", &addr),
+             IntFlag("-k", &request.k, 1, INT64_MAX),
+             AlgorithmFlag(&request.algorithm), ModeFlag(&request.mode),
+             EpsilonFlag(&request.epsilon),
+             IntFlag("--stall-ms", &request.stall_ms, 0, INT64_MAX)});
+  if (!addr.has_value() || positional.empty()) return Usage();
   {
-    auto verb = ParseServeVerb(args.positional[0]);
+    auto verb = ParseServeVerb(positional[0]);
     if (!verb.ok()) return Fail(verb.status());
     request.verb = *verb;
   }
-  if (args.positional.size() > 1) request.dataset = args.positional[1];
-  for (size_t i = 2; i < args.positional.size(); ++i) {
-    request.paths.push_back(args.positional[i]);
+  if (positional.size() > 1) request.dataset = positional[1];
+  for (size_t i = 2; i < positional.size(); ++i) {
+    request.paths.push_back(positional[i]);
   }
-  if (const std::string* kflag = args.Get("-k")) {
-    auto v = ParseInt64(*kflag);
-    if (!v.ok() || *v <= 0) {
-      return Fail(Status::InvalidArgument("-k needs a positive integer"));
-    }
-    request.k = static_cast<uint64_t>(*v);
-  }
-  {
-    auto alg = ParseAlgorithm(args);
-    if (!alg.ok()) return Fail(alg.status());
-    request.algorithm = *alg;
-  }
-  {
-    auto options = ParseSummarizeOptions(args);
-    if (!options.ok()) return Fail(options.status());
-    request.mode = options->mode;
-    request.epsilon = options->approx_epsilon;
-  }
-  if (const std::string* stall = args.Get("--stall-ms")) {
-    auto v = ParseInt64(*stall);
-    if (!v.ok() || *v < 0) {
-      return Fail(
-          Status::InvalidArgument("--stall-ms needs a non-negative integer"));
-    }
-    request.stall_ms = static_cast<uint64_t>(*v);
-  }
-  if (g_deadline_ms >= 0) {
+  if (g_deadline_ms.has_value()) {
     request.has_deadline = true;
-    request.deadline_ms = static_cast<uint64_t>(g_deadline_ms);
+    request.deadline_ms = static_cast<uint64_t>(*g_deadline_ms);
   }
   auto client = ServeClient::Connect(*addr);
   if (!client.ok()) return Fail(client.status());
@@ -938,84 +868,7 @@ int CmdQuery(const Args& args) {
   return kExitOk;
 }
 
-/// Consumes the global --max-input-bytes / --max-parse-depth flags (and
-/// their values) from argv, updating g_limits. Returns non-OK on a
-/// malformed value; the flags may appear anywhere on the command line.
-Status ConsumeLimitFlags(int* argc, char** argv) {
-  int out = 1;
-  for (int i = 1; i < *argc; ++i) {
-    std::string a = argv[i];
-    if (a == "--max-input-bytes" || a == "--max-parse-depth") {
-      if (i + 1 >= *argc) {
-        return Status::InvalidArgument(a + " needs a value");
-      }
-      auto v = ParseInt64(argv[++i]);
-      if (!v.ok() || *v <= 0) {
-        return Status::InvalidArgument(a + " needs a positive integer");
-      }
-      if (a == "--max-input-bytes") {
-        g_limits.max_input_bytes = static_cast<size_t>(*v);
-      } else {
-        g_limits.max_depth = static_cast<size_t>(*v);
-      }
-      continue;
-    }
-    argv[out++] = argv[i];
-  }
-  *argc = out;
-  return Status::OK();
-}
-
-/// Consumes the global --deadline-ms flag into g_deadline. 0 is legal and
-/// means "already expired" — the first cooperative check aborts, which is
-/// what makes the deadline path deterministically testable.
-Status ConsumeDeadlineFlag(int* argc, char** argv) {
-  int out = 1;
-  for (int i = 1; i < *argc; ++i) {
-    std::string a = argv[i];
-    if (a == "--deadline-ms") {
-      if (i + 1 >= *argc) {
-        return Status::InvalidArgument("--deadline-ms needs a value");
-      }
-      auto v = ParseInt64(argv[++i]);
-      if (!v.ok() || *v < 0) {
-        return Status::InvalidArgument(
-            "--deadline-ms needs a non-negative integer");
-      }
-      g_deadline = Deadline::After(*v);
-      g_deadline_ms = *v;
-      continue;
-    }
-    argv[out++] = argv[i];
-  }
-  *argc = out;
-  return Status::OK();
-}
-
-/// Consumes the global --cache-dir flag; SSUM_CACHE_DIR is the fallback
-/// when the flag is absent (the flag wins when both are set).
-Status ConsumeCacheFlag(int* argc, char** argv) {
-  if (const char* env = std::getenv("SSUM_CACHE_DIR");
-      env != nullptr && *env != '\0') {
-    g_cache_dir = env;
-  }
-  int out = 1;
-  for (int i = 1; i < *argc; ++i) {
-    std::string a = argv[i];
-    if (a == "--cache-dir") {
-      if (i + 1 >= *argc) {
-        return Status::InvalidArgument("--cache-dir needs a value");
-      }
-      g_cache_dir = argv[++i];
-      continue;
-    }
-    argv[out++] = argv[i];
-  }
-  *argc = out;
-  return Status::OK();
-}
-
-int Dispatch(const std::string& cmd, const Args& args) {
+int Dispatch(const std::string& cmd, const std::vector<std::string>& args) {
   if (cmd == "infer") return CmdInfer(args);
   if (cmd == "annotate") return CmdAnnotate(args);
   if (cmd == "summarize") return CmdSummarize(args);
@@ -1031,39 +884,21 @@ int Dispatch(const std::string& cmd, const Args& args) {
 }
 
 int Main(int argc, char** argv) {
-  // Applies --threads via SetDefaultThreadCount, so every kernel invoked
-  // below picks it up through the default-constructed ParallelOptions.
-  if (auto threads = ConsumeThreadsFlag(&argc, argv); !threads.ok()) {
-    std::fprintf(stderr, "ssum: error: %s\n",
-                 threads.status().ToString().c_str());
-    return kExitUsage;
-  }
-  if (Status s = ConsumeLimitFlags(&argc, argv); !s.ok()) {
-    std::fprintf(stderr, "ssum: error: %s\n", s.ToString().c_str());
-    return kExitUsage;
-  }
-  if (Status s = ConsumeCacheFlag(&argc, argv); !s.ok()) {
-    std::fprintf(stderr, "ssum: error: %s\n", s.ToString().c_str());
-    return kExitUsage;
-  }
-  if (Status s = ConsumeDeadlineFlag(&argc, argv); !s.ok()) {
-    std::fprintf(stderr, "ssum: error: %s\n", s.ToString().c_str());
-    return kExitUsage;
-  }
-  if (argc < 2) return Usage();
-  std::string cmd = argv[1];
-  if (cmd == "help" || cmd == "--help" || cmd == "-h") {
+  const std::vector<std::string> args(argv + 1, argv + argc);
+  // The command is the first positional argument; only global flags (and
+  // --help) may come before it.
+  bool help = false;
+  std::vector<Flag> leading = GlobalFlags();
+  leading.push_back(BoolFlag("--help", &help));
+  leading.push_back(BoolFlag("-h", &help));
+  auto rest = ParseFlags(args, leading, /*stop_at_positional=*/true);
+  if (!rest.ok()) return UsageError(rest.status());
+  if (help || (!rest->empty() && rest->front() == "help")) {
     PrintUsage(stdout);
     return kExitOk;
   }
-  const std::vector<std::string> value_flags = {
-      "-o",       "-k",        "-a",         "-g",        "--max-depth",
-      "--dot",    "--data",    "--dialect",  "--mode",    "--epsilon",
-      "--listen", "--workers", "--queue",    "--scale",   "--port-file",
-      "--connect", "--stall-ms", "--config", "--out-dir", "--xml",
-      "--scenario-dir", "--base", "--chain", "--slow-ms"};
-  Args args = Args::Parse(argc, argv, 2, value_flags);
-  int code = Dispatch(cmd, args);
+  if (rest->empty()) return Usage();
+  int code = Dispatch(rest->front(), args);
   // One flush per command keeps the persistent counters the cross-invocation
   // record `ssum cache stat` reports.
   if (g_cache.has_value()) {
